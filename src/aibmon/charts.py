@@ -44,10 +44,12 @@ class ChartSpec:
             raise InvalidLambda(f"lambda must be in (0, 1], got {self.lam}")
         if self.kind is ChartKind.SHEWHART and self.lam != 1.0:
             raise InvalidLambda("Shewhart chart requires lambda = 1")
-        if self.limit_multiplier <= 0:
-            raise ValueError("limit_multiplier must be positive")
-        if self.half_width < 0:
-            raise ValueError("half_width must be nonnegative")
+        if not 0 < self.limit_multiplier < math.inf:
+            raise ValueError("limit_multiplier must be positive and finite")
+        if not math.isfinite(self.center):
+            raise ValueError("center must be finite")
+        if not 0 <= self.half_width < math.inf:
+            raise ValueError("half_width must be nonnegative and finite")
 
     @property
     def lcl(self) -> float:
@@ -86,8 +88,6 @@ def make_limits(
     is what makes the stock multiplier 2.807 deliver an in-control ARL of
     200.
     """
-    if limit_multiplier <= 0:
-        raise ValueError("limit_multiplier must be positive")
     if kind is ChartKind.SHEWHART:
         lam = 1.0
     elif not 0.0 < lam <= 1.0:

@@ -28,10 +28,12 @@ from .stochastics import (
     ShiftScenario,
     StreamKey,
     SubgroupStream,
+    SubstreamWords,
+    check_u64,
     normals_from_words,
     pairs_from_normals,
     shifted_means,
-    words_per_subgroup,
+    substream_keys,
 )
 
 PERCENTILE_LEVELS = (5, 25, 50, 75, 95)
@@ -74,12 +76,13 @@ class SimulationConfig:
             raise ValueError("reps must be >= 1")
         if self.rl_cap < 1:
             raise ValueError("rl_cap must be >= 1")
+        check_u64("master_seed", self.master_seed)
 
 
 def _chunk_run_lengths(
     config: SimulationConfig,
     master_seed: int,
-    rep_indices: range,
+    rep_indices: np.ndarray,
 ) -> np.ndarray:
     """Run lengths for a batch of replications, vectorized across the batch.
 
@@ -89,17 +92,14 @@ def _chunk_run_lengths(
     """
     model, scenario, spec = config.model, config.scenario, config.spec
     n = model.n
-    wps = words_per_subgroup(n)
     changepoint = scenario.changepoint
     mu_y1, mu_x1 = shifted_means(model, scenario)
     beta = model.beta()
     lam, om = spec.lam, 1.0 - spec.lam
     center, hw = spec.center, spec.half_width
 
-    streams = [
-        SubgroupStream(n, StreamKey(master_seed, r)) for r in rep_indices
-    ]
-    total = len(streams)
+    source = SubstreamWords(n, substream_keys(master_seed, rep_indices))
+    total = len(rep_indices)
     rl = np.zeros(total, dtype=np.int64)
     w = np.full(total, center, dtype=np.float64)
     alive = np.arange(total)
@@ -109,10 +109,7 @@ def _chunk_run_lengths(
     while alive.size and t0 < horizon:
         count = min(block, horizon - t0)
         block = min(2 * block, _BLOCK_MAX)
-        words = np.empty((alive.size, count, wps), dtype=np.uint64)
-        for row, idx in enumerate(alive):
-            words[row] = streams[idx].take_words(count)
-        zx, ze = normals_from_words(n, words)
+        zx, ze = normals_from_words(n, source.take(alive, t0, count))
 
         ybar = np.empty((alive.size, count))
         xbar = np.empty((alive.size, count))
@@ -155,11 +152,8 @@ def run_to_signal(config: SimulationConfig, key: StreamKey) -> int:
     subgroup, of the first signal after the changepoint; a run that reaches
     the cap without signaling returns the cap (censored).
     """
-    rl = _chunk_run_lengths(
-        config,
-        key.master_seed,
-        range(key.replication_index, key.replication_index + 1),
-    )
+    index = np.array([key.replication_index], dtype=np.uint64)
+    rl = _chunk_run_lengths(config, key.master_seed, index)
     return int(rl[0])
 
 
@@ -172,7 +166,7 @@ def simulate_run_lengths(
     and all arithmetic are independent of the thread count.
     """
     chunks = [
-        range(start, min(start + _CHUNK, config.reps))
+        np.arange(start, min(start + _CHUNK, config.reps), dtype=np.uint64)
         for start in range(0, config.reps, _CHUNK)
     ]
     if threads <= 1 or len(chunks) == 1:

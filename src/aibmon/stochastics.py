@@ -2,11 +2,15 @@
 
 Randomness contract
 -------------------
-Every replication owns a substream derived by hashing
-``(master_seed, replication_index)`` through ``numpy.random.SeedSequence``
-into a Philox counter-based generator, so substreams are independent and
-the draw for a given subgroup never depends on execution order or worker
-count.
+Every replication owns a Philox counter-based substream whose 2-word key is
+``SeedSequence(master_seed, spawn_key=(replication_index,))
+.generate_state(2, np.uint64)``, so substreams are independent and the draw
+for a given subgroup never depends on execution order or worker count.
+``substream_keys`` computes these keys for a whole batch of replications in
+one vectorized pass of the SeedSequence hash; they equal numpy's keys bit
+for bit. A Philox stream is a pure function of its key and counter, so one
+generator re-keyed through its state (``SubstreamWords``) serves a whole
+batch without building a generator per replication.
 
 Within a substream, subgroup ``t`` (0-based) consumes a fixed slot of raw
 64-bit words: slots are padded to the 4-word Philox counter block, the
@@ -27,12 +31,13 @@ so the conditional-mean slope of Y on X is beta = rho * sigma_y / sigma_x.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from numpy.random import Philox, SeedSequence
+from numpy.random import Philox
 from scipy.special import ndtri
 
 from .errors import MaskingWithZeroCorrelation
@@ -55,6 +60,8 @@ class ProcessModel:
     Fields are the in-control means, standard deviations, correlation and
     subgroup size. ``|rho| = 1`` is rejected: downstream limit widths and
     the masking coupling divide by sqrt(1 - rho^2) and beta respectively.
+    Non-finite means and standard deviations are rejected: a chart built on
+    them never signals, so every replication would run to the cap.
     """
 
     mu_y0: float
@@ -65,8 +72,10 @@ class ProcessModel:
     n: int = 1
 
     def __post_init__(self):
-        if not (self.sigma_y > 0 and self.sigma_x > 0):
-            raise ValueError("sigma_y and sigma_x must be positive")
+        if not (math.isfinite(self.mu_y0) and math.isfinite(self.mu_x0)):
+            raise ValueError("mu_y0 and mu_x0 must be finite")
+        if not (0 < self.sigma_y < math.inf and 0 < self.sigma_x < math.inf):
+            raise ValueError("sigma_y and sigma_x must be positive and finite")
         if not abs(self.rho) < 1:
             raise ValueError("need |rho| < 1 (degenerate correlation rejected)")
         if not (isinstance(self.n, int) and self.n >= 1):
@@ -99,6 +108,8 @@ class ShiftScenario:
     changepoint: int = 0
 
     def __post_init__(self):
+        if not (math.isfinite(self.delta_y) and math.isfinite(self.delta_x)):
+            raise ValueError("delta_y and delta_x must be finite")
         if not (isinstance(self.changepoint, int) and self.changepoint >= 0):
             raise ValueError("changepoint must be an integer >= 0")
 
@@ -129,13 +140,118 @@ class StreamKey:
     replication_index: int
 
     def __post_init__(self):
-        for name in ("master_seed", "replication_index"):
-            v = getattr(self, name)
-            if not (isinstance(v, int) and 0 <= v < _U64_MAX):
-                raise ValueError(f"{name} must be an unsigned 64-bit integer")
+        check_u64("master_seed", self.master_seed)
+        check_u64("replication_index", self.replication_index)
 
-    def seed_sequence(self) -> SeedSequence:
-        return SeedSequence(self.master_seed, spawn_key=(self.replication_index,))
+
+def check_u64(name: str, value) -> None:
+    """Reject anything but an unsigned 64-bit Python integer."""
+    if not (isinstance(value, int) and 0 <= value < _U64_MAX):
+        raise ValueError(f"{name} must be an unsigned 64-bit integer")
+
+
+# numpy's SeedSequence hash (pool size 4) on 32-bit words. Each hashmix call
+# consumes the next multiplier of a fixed sequence, so the constants of every
+# call can be listed up front.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(start: int, mult: int, calls: int) -> list[tuple[int, int]]:
+    """(xor, multiplier) of ``calls`` successive hash calls."""
+    consts, h = [], start
+    for _ in range(calls):
+        nxt = (h * mult) & _MASK32
+        consts.append((h, nxt))
+        h = nxt
+    return consts
+
+
+# Pool fill, pairwise pool mixing, then up to two spawn-index words.
+_MIX_CONSTS = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + 2))
+_OUT_CONSTS = _hash_constants(_INIT_B, _MULT_B, _POOL_SIZE)
+
+
+def _hashmix(value, consts):
+    """SeedSequence ``hashmix`` on a Python int or a uint32 array."""
+    xor, mult = consts
+    value = ((value ^ xor) * mult) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    """SeedSequence ``mix`` on Python ints or uint32 arrays.
+
+    ``x`` is masked before the subtraction so that a Python-int ``x`` never
+    meets a uint32 array ``y`` as a value wider than 32 bits.
+    """
+    value = (((_MIX_MULT_L * x) & _MASK32) - _MIX_MULT_R * y) & _MASK32
+    return value ^ (value >> 16)
+
+
+@functools.lru_cache(maxsize=16)
+def _seed_pool(master_seed: int) -> tuple[int, ...]:
+    """Entropy pool after the master seed's words are mixed in.
+
+    With a spawn key, numpy pads the seed's little-endian 32-bit words with
+    zeros to the pool size; a seed below 2**64 has at most two words.
+    """
+    consts = iter(_MIX_CONSTS)
+    pool = [
+        _hashmix((master_seed >> (32 * k)) & _MASK32, next(consts))
+        for k in range(_POOL_SIZE)
+    ]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(consts)))
+    return tuple(pool)
+
+
+def _state_words(pool, spawn_words) -> list:
+    """The four 32-bit output words after mixing the spawn words into the pool.
+
+    Works elementwise on Python ints or uint32 arrays of spawn words.
+    """
+    consts = iter(_MIX_CONSTS[_POOL_SIZE * _POOL_SIZE :])
+    for word in spawn_words:
+        pool = [_mix(p, _hashmix(word, next(consts))) for p in pool]
+    return [_hashmix(p, c) for p, c in zip(pool, _OUT_CONSTS)]
+
+
+def substream_key(master_seed: int, index: int) -> list[int]:
+    """Philox key of replication ``index``: one row of ``substream_keys``."""
+    check_u64("master_seed", master_seed)
+    check_u64("replication_index", index)
+    spawn_words = [index & _MASK32] + ([index >> 32] if index > _MASK32 else [])
+    w = _state_words(_seed_pool(master_seed), spawn_words)
+    return [w[0] | (w[1] << 32), w[2] | (w[3] << 32)]
+
+
+def substream_keys(master_seed: int, indices) -> np.ndarray:
+    """Philox keys of replications ``indices`` of ``master_seed``, shape (len, 2).
+
+    Row ``r`` equals ``SeedSequence(master_seed, spawn_key=(indices[r],))
+    .generate_state(2, np.uint64)``. The pool stage depends only on the
+    master seed; the spawn-index stage runs column-wise over all indices.
+    An index of 2**32 or more contributes a second 32-bit word.
+    """
+    check_u64("master_seed", master_seed)
+    idx = np.asarray(indices, dtype=np.uint64)
+    pool = _seed_pool(master_seed)
+    low = (idx & _MASK32).astype(np.uint32)
+    w = _state_words(pool, [low])
+    wide = idx > _MASK32
+    if wide.any():
+        high = (idx >> np.uint64(32)).astype(np.uint32)
+        w = [np.where(wide, b, a) for a, b in zip(w, _state_words(pool, [low, high]))]
+    w = [v.astype(np.uint64) for v in w]
+    return np.stack(
+        [w[0] | (w[1] << np.uint64(32)), w[2] | (w[3] << np.uint64(32))], axis=-1
+    )
 
 
 def shifted_means(model: ProcessModel, scenario: ShiftScenario) -> tuple[float, float]:
@@ -180,6 +296,51 @@ def normals_from_words(n: int, words: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return z[..., :n], z[..., n : 2 * n]
 
 
+class SubstreamWords:
+    """Raw word slots of a batch of substreams from one re-keyed Philox.
+
+    ``keys`` holds one 2-word Philox key per row, as ``substream_keys``
+    returns them. Subgroup ``t`` of a substream starts at Philox counter
+    ``t * words_per_subgroup(n) // 4``; ``take`` writes each row's key and
+    that counter into the generator's state and draws the row's words, so
+    no generator is built per replication. Not thread-safe: each thread
+    needs its own instance.
+    """
+
+    def __init__(self, n: int, keys):
+        self._wps = words_per_subgroup(n)
+        self._keys = np.asarray(keys, dtype=np.uint64).tolist()
+        self._bitgen = Philox(0)
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": None},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+    def take(self, rows, start: int, count: int) -> np.ndarray:
+        """Word slots of subgroups ``start .. start+count-1`` of each row.
+
+        ``rows`` index the batch; the result has shape
+        (len(rows), count, words_per_subgroup(n)).
+        """
+        wps = self._wps
+        rows = np.asarray(rows).tolist()
+        out = np.empty((len(rows), count * wps), dtype=np.uint64)
+        state, inner = self._state, self._state["state"]
+        # buffer_pos = 4 marks the buffer spent, so the first draw advances
+        # the counter by one before generating, exactly as a fresh stream.
+        inner["counter"][0] = start * wps // 4
+        bitgen, keys = self._bitgen, self._keys
+        for i, row in enumerate(rows):
+            inner["key"] = keys[row]
+            bitgen.state = state
+            out[i] = bitgen.random_raw(count * wps)
+        return out.reshape(len(rows), count, wps)
+
+
 class SubgroupStream:
     """Sequential source of standard-normal subgroup pairs for one replication.
 
@@ -193,15 +354,14 @@ class SubgroupStream:
         if start_index < 0:
             raise ValueError("start_index must be >= 0")
         self.n = n
-        self._wps = words_per_subgroup(n)
-        self._bitgen = Philox(key.seed_sequence())
-        if start_index:
-            self._bitgen.advance(start_index * self._wps // 4)
+        self._words = SubstreamWords(
+            n, [substream_key(key.master_seed, key.replication_index)]
+        )
         self.next_index = start_index
 
     def take_words(self, count: int) -> np.ndarray:
         """Raw word slots for the next ``count`` subgroups, shape (count, wps)."""
-        raw = self._bitgen.random_raw(count * self._wps).reshape(count, self._wps)
+        raw = self._words.take([0], self.next_index, count)[0]
         self.next_index += count
         return raw
 

@@ -64,6 +64,32 @@ def test_simulate_same_flags_same_bytes(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--delta-y", "nan"], ["--delta-x", "inf"], ["--L", "inf"], ["--L", "nan"],
+     ["--mu-y0", "nan"], ["--mu-x0=-inf"], ["--sigma-y", "inf"]],
+)
+def test_simulate_rejects_non_finite_parameters(capsys, flags):
+    # Rejected up front: a chart that can never signal would otherwise burn
+    # rl_cap subgroups per replication and then exit 3.
+    code, _, err = run(
+        capsys, "simulate", "--chart", "ewma", "--L", "2.454", "--rho", "0.5",
+        "--reps", "20", "--rl-cap", "1000", *flags,
+    )
+    assert code == 2
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_simulate_rejects_seed_outside_64_bits(capsys, seed):
+    code, _, err = run(
+        capsys, "simulate", "--chart", "shewhart", "--L", "2.807",
+        "--reps", "20", "--seed", seed,
+    )
+    assert code == 2
+    assert "master_seed" in err
+
+
 def test_simulate_rejects_masking_with_zero_rho(capsys):
     code, _, err = run(
         capsys,
@@ -128,6 +154,27 @@ def test_flags_override_config(tmp_path, capsys):
                      "--reps", "500", "--out", str(over))
     assert code == 0
     assert over.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "key, value", [("n", 2.5), ("reps", 200.9), ("seed", 7.5), ("changepoint", True),
+                   ("rl_cap", "100"), ("seed", None)]
+)
+def test_config_rejects_non_integer_counts(tmp_path, capsys, key, value):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"chart": "shewhart", "L": 2.807, "reps": 200,
+                               "rl_cap": 100, key: value}))
+    code, _, err = run(capsys, "simulate", "--config", str(cfg))
+    assert code == 2
+    assert key in err
+
+
+def test_config_accepts_integral_floats(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"chart": "shewhart", "L": 2.807, "reps": 500.0,
+                               "seed": 7, "rl_cap": 1e7, "out": str(tmp_path / "a.csv")}))
+    assert run(capsys, "simulate", "--config", str(cfg))[0] == 0
+    assert (tmp_path / "a.csv").read_text().splitlines()[1].split(",")[3] == "500"
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

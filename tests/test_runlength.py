@@ -18,7 +18,7 @@ from aibmon import (
     shewhart_arl_exact,
     trace,
 )
-from aibmon import charts, estimators, sample_subgroup, shifted_means
+from aibmon import charts, estimators, runlength, sample_subgroup, shifted_means
 from aibmon.runlength import simulate_run_lengths, summarize_run_lengths
 
 
@@ -107,6 +107,27 @@ def test_run_lengths_independent_of_threading_and_chunking():
     assert a == b
 
 
+@pytest.mark.parametrize(
+    "block_first, block_max, chunk", [(1, 1, 7), (3, 5, 100), (16, 4096, 4096)]
+)
+def test_run_lengths_independent_of_block_schedule(monkeypatch, block_first, block_max, chunk):
+    # Subgroup t always reads the same word slot of its replication's
+    # substream, so the round sizes and the chunking cannot move a result.
+    model = ProcessModel(0.2, -0.4, 1.1, 0.9, rho=0.55, n=3)
+    config = SimulationConfig(
+        model,
+        ShiftScenario(delta_y=0.8, delta_x=0.2, changepoint=6),
+        make_limits(ChartKind.EWMA, 0.2, 2.636, model),
+        reps=300,
+        master_seed=2**40 + 3,
+    )
+    default = simulate_run_lengths(config)
+    monkeypatch.setattr(runlength, "_BLOCK_FIRST", block_first)
+    monkeypatch.setattr(runlength, "_BLOCK_MAX", block_max)
+    monkeypatch.setattr(runlength, "_CHUNK", chunk)
+    assert np.array_equal(simulate_run_lengths(config), default)
+
+
 def test_run_to_signal_matches_batched_engine():
     config = shewhart_config(rho=0.5, delta_x=1.0, reps=200, seed=31)
     rl = simulate_run_lengths(config)
@@ -179,6 +200,9 @@ def test_config_validation():
         SimulationConfig(model, ShiftScenario(), spec, reps=0)
     with pytest.raises(ValueError):
         SimulationConfig(model, ShiftScenario(), spec, reps=10, rl_cap=0)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError):
+            SimulationConfig(model, ShiftScenario(), spec, reps=10, master_seed=seed)
 
 
 # --------------------------------------------------------------------- trace

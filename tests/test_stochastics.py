@@ -15,7 +15,13 @@ from aibmon import (
     sample_subgroup,
     shifted_means,
 )
-from aibmon.stochastics import SubgroupStream, words_per_subgroup
+from aibmon.stochastics import (
+    SubgroupStream,
+    SubstreamWords,
+    substream_key,
+    substream_keys,
+    words_per_subgroup,
+)
 
 
 def standard(rho, n=1):
@@ -36,6 +42,12 @@ def test_model_rejects_bad_parameters():
         ProcessModel(0, 0, 1.0, 1.0, rho=-1.0)
     with pytest.raises(ValueError):
         ProcessModel(0, 0, 1.0, 1.0, rho=0.5, n=0)
+    with pytest.raises(ValueError):
+        ProcessModel(math.nan, 0, 1.0, 1.0, rho=0.5)
+    with pytest.raises(ValueError):
+        ProcessModel(0, -math.inf, 1.0, 1.0, rho=0.5)
+    with pytest.raises(ValueError):
+        ProcessModel(0, 0, math.inf, 1.0, rho=0.5)
 
 
 def test_beta_is_rho_sigma_ratio():
@@ -48,11 +60,71 @@ def test_scenario_rejects_negative_changepoint():
         ShiftScenario(changepoint=-1)
 
 
+@pytest.mark.parametrize(
+    "kwargs", [{"delta_y": math.nan}, {"delta_x": math.inf}, {"delta_y": -math.inf}]
+)
+def test_scenario_rejects_non_finite_shift(kwargs):
+    with pytest.raises(ValueError):
+        ShiftScenario(**kwargs)
+
+
 def test_stream_key_rejects_out_of_range():
     with pytest.raises(ValueError):
         StreamKey(-1, 0)
     with pytest.raises(ValueError):
         StreamKey(0, 2**64)
+
+
+# ------------------------------------------------------------ substream keys
+
+
+SEEDS = st.one_of(
+    st.just(0),
+    st.integers(1, 2**32 - 1),
+    st.integers(2**32, 2**64 - 1),
+)
+INDICES = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(master_seed=SEEDS, indices=st.lists(INDICES, min_size=1, max_size=8))
+def test_substream_keys_equal_numpy_seed_sequence(master_seed, indices):
+    keys = substream_keys(master_seed, indices)
+    assert keys.dtype == np.uint64 and keys.shape == (len(indices), 2)
+    for index, key in zip(indices, keys):
+        expected = np.random.SeedSequence(
+            master_seed, spawn_key=(index,)
+        ).generate_state(2, np.uint64)
+        assert np.array_equal(key, expected)
+        assert substream_key(master_seed, index) == expected.tolist()
+
+
+def test_substream_keys_reject_out_of_range_seed():
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError):
+            substream_keys(seed, [0])
+        with pytest.raises(ValueError):
+            substream_key(seed, 0)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_rekeyed_words_equal_numpy_philox_streams(n):
+    # One re-keyed generator reproduces each replication's own Philox
+    # stream, for any rows, in any order, from any subgroup offset.
+    wps = words_per_subgroup(n)
+    indices = [0, 5, 2**32 + 3, 2**64 - 1]
+    reference = [
+        np.random.Philox(np.random.SeedSequence(77, spawn_key=(i,)))
+        .random_raw(30 * wps)
+        .reshape(30, wps)
+        for i in indices
+    ]
+    words = SubstreamWords(n, substream_keys(77, indices))
+    for rows, start, count in (([0, 1, 2, 3], 0, 7), ([3, 1], 7, 16), ([2], 23, 7)):
+        block = words.take(rows, start, count)
+        assert block.shape == (len(rows), count, wps)
+        for row, got in zip(rows, block):
+            assert np.array_equal(got, reference[row][start : start + count])
 
 
 def test_paired_sample_requires_matching_vectors():
