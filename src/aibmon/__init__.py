@@ -7,7 +7,7 @@ including the studies showing how a drifting auxiliary mean inflates false
 alarms or masks real shifts.
 """
 
-from .charts import ChartKind, ChartSpec, ChartState, aib_statistic, initial_state, make_limits, update
+from .charts import ChartKind, ChartSpec, make_limits
 from .errors import (
     AibmonError,
     DegenerateDesign,
@@ -45,7 +45,6 @@ from .experiments import (
     reproduce_table1,
 )
 from .oracles import (
-    StandardizedShift,
     calibrate_limit,
     ewma_arl_markov,
     shewhart_arl_exact,
@@ -75,7 +74,6 @@ __all__ = [
     "AibmonError",
     "ChartKind",
     "ChartSpec",
-    "ChartState",
     "DegenerateDesign",
     "DivisionByZeroMean",
     "EfficiencyInputs",
@@ -95,19 +93,16 @@ __all__ = [
     "ShiftScenario",
     "SimulationConfig",
     "SingularSystem",
-    "StandardizedShift",
     "StreamKey",
     "SubgroupTooSmall",
     "Table1Cell",
     "TracePoint",
     "ZeroPopulationMean",
-    "aib_statistic",
     "calibrate_limit",
     "difference_estimate",
     "equivalence_check",
     "estimate_runlength",
     "ewma_arl_markov",
-    "initial_state",
     "make_limits",
     "masking_demo",
     "mean_estimate",
@@ -126,5 +121,4 @@ __all__ = [
     "shifted_means",
     "standardized_shift",
     "trace",
-    "update",
 ]

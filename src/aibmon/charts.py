@@ -1,4 +1,4 @@
-"""Chart statistics and control limits for the auxiliary-adjusted charts.
+"""Control limits and the chart recursion for the auxiliary-adjusted charts.
 
 The plotted statistic is the difference estimator of the Y mean; the
 classical Shewhart/EWMA charts are the rho = 0 special case. Limits are
@@ -6,6 +6,8 @@ symmetric about the in-control Y mean with half-width proportional to the
 standard deviation of the plotted statistic, sqrt(1 - rho^2) * sigma_y /
 sqrt(n); the EWMA chart additionally carries the stationary variance
 factor lambda / (2 - lambda) (fixed asymptotic limits, no time index).
+``ewma_path`` is the one implementation of the recursion and of the
+signal rule; the run-length engine and ``trace`` both call it.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import InvalidLambda
-from .estimators import SampleMoments, difference_estimate
 from .stochastics import ProcessModel
 
 
@@ -60,24 +63,6 @@ class ChartSpec:
         return self.center + self.half_width
 
 
-@dataclass(frozen=True)
-class ChartState:
-    """Current smoothed value and number of subgroups processed."""
-
-    w: float
-    t: int = 0
-
-
-def initial_state(spec: ChartSpec) -> ChartState:
-    """Fresh state: the smoothed value starts at the chart center."""
-    return ChartState(w=spec.center, t=0)
-
-
-def aib_statistic(m: SampleMoments, model: ProcessModel) -> float:
-    """Plotted statistic: delegates to the difference estimator."""
-    return difference_estimate(m, model)
-
-
 def make_limits(
     kind: ChartKind, lam: float, limit_multiplier: float, model: ProcessModel
 ) -> ChartSpec:
@@ -104,12 +89,26 @@ def make_limits(
     )
 
 
-def update(state: ChartState, spec: ChartSpec, z: float) -> tuple[ChartState, bool]:
-    """Advance the chart by one statistic; signal on strict limit violation.
+def ewma_path(
+    spec: ChartSpec, z: np.ndarray, w0: float | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Chart path and signals of a block of statistics, many charts at once.
 
-    EWMA recursion w' = lam * z + (1 - lam) * w; lam = 1 makes w' = z, the
-    Shewhart case.
+    ``z`` holds one chart per row and one statistic per column, shape
+    (rows, count); ``w0`` is each row's smoothed value before the block
+    (the chart center for a fresh chart). Every step applies the EWMA
+    recursion w' = lam * z + (1 - lam) * w, and lam = 1 makes w' = z, the
+    Shewhart case. A step signals on strict limit violation,
+    |w - center| > half_width. Returns (path, signal), both (rows, count).
     """
-    w = spec.lam * z + (1.0 - spec.lam) * state.w
-    signal = abs(w - spec.center) > spec.half_width
-    return ChartState(w=w, t=state.t + 1), signal
+    # Time-major, so each step updates one contiguous vector of all rows;
+    # the lam * z terms fill it in one pass.
+    path = np.multiply(z.T, spec.lam, order="C")
+    om = 1.0 - spec.lam
+    prev = w0
+    for row in path:
+        row += om * prev
+        prev = row
+    dev = path - spec.center
+    signal = np.abs(dev, out=dev) > spec.half_width
+    return path.T, signal.T

@@ -71,10 +71,13 @@ _SIMULATE_DEFAULTS = {
 
 
 def _resolve_threads(value) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get("AIBMON_THREADS")
-    return int(env) if env else 1
+    """--threads if given, else AIBMON_THREADS, else 1; must be at least 1."""
+    if value is None:
+        value = os.environ.get("AIBMON_THREADS") or 1
+    threads = int(value)
+    if threads < 1:
+        raise ValueError(f"thread count must be >= 1, got {threads}")
+    return threads
 
 
 def _load_config(path: str) -> dict:

@@ -93,7 +93,8 @@ def difference_estimate(m: SampleMoments, model: ProcessModel) -> float:
     """y_bar + beta * (mu_x0 - x_bar), beta = rho * sigma_y / sigma_x.
 
     Unbiased for the mean of Y with variance (1 - rho^2) * sigma_y^2 / n;
-    reduces exactly to the sample mean at rho = 0.
+    reduces exactly to the sample mean at rho = 0. Works elementwise on
+    arrays of subgroup means, as the run-length engine passes them.
     """
     return m.y_bar + model.beta() * (model.mu_x0 - m.x_bar)
 

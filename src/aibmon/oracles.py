@@ -16,8 +16,6 @@ sqrt(1 - rho^2) * sigma_y / sqrt(n), is a unit normal with mean ``s``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 from scipy.optimize import brentq
@@ -28,20 +26,7 @@ from .errors import InvalidLambda, NoBracket, SingularSystem
 from .stochastics import ProcessModel, ShiftMode, ShiftScenario
 
 
-@dataclass(frozen=True)
-class StandardizedShift:
-    """Mean of the standardized chart statistic under a shift scenario."""
-
-    s: float
-
-    def __float__(self) -> float:
-        return self.s
-
-
-ShiftLike = Union[StandardizedShift, float]
-
-
-def standardized_shift(model: ProcessModel, scenario: ShiftScenario) -> StandardizedShift:
+def standardized_shift(model: ProcessModel, scenario: ShiftScenario) -> float:
     """Residual shift seen by the chart, in statistic standard deviations.
 
     The statistic's mean moves by delta_y - rho * delta_x in units of
@@ -52,14 +37,13 @@ def standardized_shift(model: ProcessModel, scenario: ShiftScenario) -> Standard
     A masking-coupled scenario cancels exactly, s = 0, whatever delta_y.
     """
     if scenario.mode is ShiftMode.MASKING:
-        return StandardizedShift(0.0)
-    s = (scenario.delta_y - model.rho * scenario.delta_x) / math.sqrt(
+        return 0.0
+    return (scenario.delta_y - model.rho * scenario.delta_x) / math.sqrt(
         1.0 - model.rho**2
     )
-    return StandardizedShift(s)
 
 
-def shewhart_arl_exact(L: float, s: ShiftLike) -> float:
+def shewhart_arl_exact(L: float, s: float) -> float:
     """Closed-form Shewhart ARL: 1 / p with p the two-sided exceedance.
 
     p = Phi(-(L - s)) + Phi(-(L + s)); the run length is geometric because
@@ -67,14 +51,13 @@ def shewhart_arl_exact(L: float, s: ShiftLike) -> float:
     """
     if L <= 0:
         raise ValueError("limit multiplier L must be positive")
-    s = float(s)
     p = float(ndtr(-(L - s)) + ndtr(-(L + s)))
     if p == 0.0:
         return math.inf
     return 1.0 / p
 
 
-def ewma_arl_markov(lam: float, L: float, s: ShiftLike, n_states: int = 401) -> float:
+def ewma_arl_markov(lam: float, L: float, s: float, n_states: int = 401) -> float:
     """EWMA ARL by Markov-chain discretization of the in-limits interval.
 
     The standardized EWMA w' = (1 - lam) * w + lam * u, u ~ N(s, 1), lives
@@ -94,7 +77,6 @@ def ewma_arl_markov(lam: float, L: float, s: ShiftLike, n_states: int = 401) -> 
         raise ValueError("limit multiplier L must be positive")
     if n_states < 51 or n_states % 2 == 0:
         raise ValueError("n_states must be odd and >= 51")
-    s = float(s)
     h = L * math.sqrt(lam / (2.0 - lam))
     width = 2.0 * h / n_states
     centers = -h + (np.arange(n_states) + 0.5) * width
@@ -126,8 +108,8 @@ def calibrate_limit(
     the Markov-chain ARL in L and solves by Brent's method to |ARL -
     target| < 0.1.
     """
-    if target_arl0 <= 1.0:
-        raise ValueError("target in-control ARL must exceed 1")
+    if not 1.0 < target_arl0 < math.inf:
+        raise ValueError("target in-control ARL must be finite and exceed 1")
     if kind is ChartKind.SHEWHART:
         return float(-ndtri(0.5 / target_arl0))
 

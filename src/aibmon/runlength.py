@@ -23,6 +23,7 @@ import numpy as np
 from . import charts
 from .charts import ChartSpec
 from .errors import ExcessCensoring
+from .estimators import SampleMoments, difference_estimate
 from .stochastics import (
     ProcessModel,
     ShiftScenario,
@@ -79,6 +80,37 @@ class SimulationConfig:
         check_u64("master_seed", self.master_seed)
 
 
+def _subgroup_statistics(
+    model: ProcessModel, scenario: ShiftScenario, words: np.ndarray, t0: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Subgroup means and chart statistic of a block of word slots.
+
+    ``words`` has shape (rows, count, words_per_subgroup(n)) and holds the
+    subgroups that follow the first ``t0`` of each row. Subgroups up to the
+    changepoint are drawn at the in-control means, the rest at the shifted
+    ones; the statistic, the difference estimator, always uses the
+    in-control auxiliary mean. Returns (x_bar, y_bar, z), each of shape
+    (rows, count).
+    """
+    rows, count = words.shape[:2]
+    zx, ze = normals_from_words(model.n, words)
+    mu_y1, mu_x1 = shifted_means(model, scenario)
+    ybar = np.empty((rows, count))
+    xbar = np.empty((rows, count))
+    split = min(max(scenario.changepoint - t0, 0), count)
+    for sl, mu_y, mu_x in (
+        (slice(0, split), model.mu_y0, model.mu_x0),
+        (slice(split, count), mu_y1, mu_x1),
+    ):
+        if sl.start == sl.stop:
+            continue
+        y, x = pairs_from_normals(model, mu_y, mu_x, zx[:, sl], ze[:, sl])
+        ybar[:, sl] = y.mean(axis=2)
+        xbar[:, sl] = x.mean(axis=2)
+    z = difference_estimate(SampleMoments(ybar, xbar, None, None, None), model)
+    return xbar, ybar, z
+
+
 def _chunk_run_lengths(
     config: SimulationConfig,
     master_seed: int,
@@ -87,21 +119,16 @@ def _chunk_run_lengths(
     """Run lengths for a batch of replications, vectorized across the batch.
 
     Each replication consumes its own substream block by block; a censored
-    replication reports the cap itself. Values are bit-identical to the
-    scalar path (sample_subgroup + chart update) over the same keys.
+    replication reports the cap itself. Values are bit-identical to a
+    scalar walk (sample_subgroup, the statistic, the EWMA recursion) over
+    the same keys.
     """
     model, scenario, spec = config.model, config.scenario, config.spec
-    n = model.n
     changepoint = scenario.changepoint
-    mu_y1, mu_x1 = shifted_means(model, scenario)
-    beta = model.beta()
-    lam, om = spec.lam, 1.0 - spec.lam
-    center, hw = spec.center, spec.half_width
-
-    source = SubstreamWords(n, substream_keys(master_seed, rep_indices))
+    source = SubstreamWords(model.n, substream_keys(master_seed, rep_indices))
     total = len(rep_indices)
     rl = np.zeros(total, dtype=np.int64)
-    w = np.full(total, center, dtype=np.float64)
+    w = np.full(total, spec.center, dtype=np.float64)
     alive = np.arange(total)
     horizon = changepoint + config.rl_cap
     t0 = 0
@@ -109,35 +136,14 @@ def _chunk_run_lengths(
     while alive.size and t0 < horizon:
         count = min(block, horizon - t0)
         block = min(2 * block, _BLOCK_MAX)
-        zx, ze = normals_from_words(n, source.take(alive, t0, count))
-
-        ybar = np.empty((alive.size, count))
-        xbar = np.empty((alive.size, count))
-        split = min(max(changepoint - t0, 0), count)
-        for sl, mu_y, mu_x in (
-            (slice(0, split), model.mu_y0, model.mu_x0),
-            (slice(split, count), mu_y1, mu_x1),
-        ):
-            if sl.start == sl.stop:
-                continue
-            y, x = pairs_from_normals(model, mu_y, mu_x, zx[:, sl], ze[:, sl])
-            ybar[:, sl] = y.mean(axis=2)
-            xbar[:, sl] = x.mean(axis=2)
-        z = ybar + beta * (model.mu_x0 - xbar)
-
-        wa = w[alive]
-        done = np.zeros(alive.size, dtype=bool)
-        hit = np.zeros(alive.size, dtype=np.int64)
-        for j in range(count):
-            wa = lam * z[:, j] + om * wa
-            t = t0 + j + 1
-            if t <= changepoint:
-                continue
-            sig = ~done & (np.abs(wa - center) > hw)
-            hit[sig] = t - changepoint
-            done |= sig
-        w[alive] = wa
-        rl[alive[done]] = hit[done]
+        words = source.take(alive, t0, count)
+        _, _, z = _subgroup_statistics(model, scenario, words, t0)
+        path, signal = charts.ewma_path(spec, z, w[alive])
+        w[alive] = path[:, -1]
+        # Signals up to the changepoint do not count.
+        signal[:, : max(changepoint - t0, 0)] = False
+        done = signal.any(axis=1)
+        rl[alive[done]] = t0 + 1 - changepoint + signal[done].argmax(axis=1)
         alive = alive[~done]
         t0 += count
 
@@ -233,36 +239,32 @@ def trace(
         raise ValueError("n_subgroups must be >= 1")
     model, scenario, spec = config.model, config.scenario, config.spec
     mu_y1, mu_x1 = shifted_means(model, scenario)
-    beta = model.beta()
     shifted_label = (
         "out-of-control"
         if (mu_y1, mu_x1) != (model.mu_y0, model.mu_x0)
         else "in-control"
     )
-    zx, ze = SubgroupStream(model.n, key).take(n_subgroups)
-    state = charts.initial_state(spec)
-    points = []
-    for i in range(n_subgroups):
-        t = i + 1
-        in_control = t <= scenario.changepoint
-        mu_y, mu_x = (
-            (model.mu_y0, model.mu_x0) if in_control else (mu_y1, mu_x1)
+    words = SubgroupStream(model.n, key).take_words(n_subgroups)
+    xbar, ybar, z = _subgroup_statistics(model, scenario, words[None], 0)
+    path, signal = charts.ewma_path(spec, z, spec.center)
+    return [
+        TracePoint(
+            t=t,
+            x_bar=x_bar,
+            y_bar=y_bar,
+            z=z_t,
+            w=w,
+            lcl=spec.lcl,
+            ucl=spec.ucl,
+            signal=sig,
+            regime="in-control" if t <= scenario.changepoint else shifted_label,
         )
-        y, x = pairs_from_normals(model, mu_y, mu_x, zx[i], ze[i])
-        y_bar, x_bar = float(y.mean()), float(x.mean())
-        z = y_bar + beta * (model.mu_x0 - x_bar)
-        state, signal = charts.update(state, spec, z)
-        points.append(
-            TracePoint(
-                t=t,
-                x_bar=x_bar,
-                y_bar=y_bar,
-                z=z,
-                w=state.w,
-                lcl=spec.lcl,
-                ucl=spec.ucl,
-                signal=signal,
-                regime="in-control" if in_control else shifted_label,
-            )
+        for t, x_bar, y_bar, z_t, w, sig in zip(
+            range(1, n_subgroups + 1),
+            xbar[0].tolist(),
+            ybar[0].tolist(),
+            z[0].tolist(),
+            path[0].tolist(),
+            signal[0].tolist(),
         )
-    return points
+    ]

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,19 +9,18 @@ from scipy.stats import kstest
 from aibmon import (
     ChartKind,
     ChartSpec,
-    ChartState,
     InvalidLambda,
     ProcessModel,
+    ShiftScenario,
+    SimulationConfig,
     StreamKey,
-    aib_statistic,
     difference_estimate,
-    initial_state,
     make_limits,
-    moments,
-    update,
+    trace,
 )
+from aibmon.charts import ewma_path
 from aibmon.estimators import SampleMoments
-from aibmon.stochastics import PairedSample, SubgroupStream, pairs_from_normals
+from aibmon.stochastics import SubgroupStream, pairs_from_normals
 
 
 # ----------------------------------------------------------------- statistic
@@ -29,27 +29,13 @@ from aibmon.stochastics import PairedSample, SubgroupStream, pairs_from_normals
 def test_statistic_recovers_classical_chart_at_zero_rho():
     model = ProcessModel.standard(0.0)
     m = SampleMoments(0.37, -1.2, None, None, None)
-    assert aib_statistic(m, model) == 0.37
+    assert difference_estimate(m, model) == 0.37
 
 
 def test_statistic_substitution():
     model = ProcessModel.standard(0.5)
     m = SampleMoments(0.3, -0.2, None, None, None)
-    assert aib_statistic(m, model) == pytest.approx(0.4)
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    y=st.lists(st.floats(-50, 50), min_size=1, max_size=8),
-    x=st.lists(st.floats(-50, 50), min_size=1, max_size=8),
-    rho=st.floats(-0.95, 0.95),
-)
-def test_statistic_delegates_to_difference_estimator(y, x, rho):
-    n = min(len(y), len(x))
-    sample = PairedSample(y=y[:n], x=x[:n])
-    model = ProcessModel(0.1, -0.2, 1.3, 0.7, rho, n)
-    m = moments(sample)
-    assert aib_statistic(m, model) == difference_estimate(m, model)
+    assert difference_estimate(m, model) == pytest.approx(0.4)
 
 
 def test_in_control_statistic_moments():
@@ -123,47 +109,66 @@ def test_shewhart_forces_lambda_one():
     assert spec.lam == 1.0
 
 
-# -------------------------------------------------------------------- update
+# -------------------------------------------------------------------- kernel
+
+
+def one_row(spec, zs, w0):
+    """Path and signals of one chart fed the statistics ``zs``."""
+    path, signal = ewma_path(spec, np.array([zs], dtype=float), w0)
+    return path[0].tolist(), signal[0].tolist()
 
 
 def test_lambda_one_reduces_to_shewhart():
     spec = make_limits(ChartKind.EWMA, 1.0, 2.807, ProcessModel.standard(0.0))
-    state, _ = update(initial_state(spec), spec, 1.7)
-    assert state.w == 1.7
-    state, _ = update(state, spec, -0.3)
-    assert state.w == -0.3
+    path, _ = one_row(spec, [1.7, -0.3], spec.center)
+    assert path == [1.7, -0.3]
 
 
 def test_one_step_recursion():
     spec = make_limits(ChartKind.EWMA, 0.1, 2.454, ProcessModel.standard(0.0))
-    state, signal = update(ChartState(w=0.0, t=0), spec, 1.0)
-    assert state.w == pytest.approx(0.1)
-    assert state.t == 1
-    assert not signal
+    path, signal = one_row(spec, [1.0], 0.0)
+    assert path == [pytest.approx(0.1)]
+    assert signal == [False]
 
 
 def test_constant_input_converges_geometrically():
     lam, c = 0.2, 3.0
     spec = ChartSpec(ChartKind.EWMA, lam, 2.0, center=0.0, half_width=100.0)
-    state = initial_state(spec)
-    for t in range(1, 40):
-        state, _ = update(state, spec, c)
-        assert state.w == pytest.approx(c * (1 - (1 - lam) ** t), rel=1e-12)
+    path, _ = one_row(spec, [c] * 39, spec.center)
+    for t, w in enumerate(path, start=1):
+        assert w == pytest.approx(c * (1 - (1 - lam) ** t), rel=1e-12)
 
 
 def test_initial_state_sits_at_center():
+    # A chart fed its center stays there; trace starts its chart at the center.
     spec = ChartSpec(ChartKind.EWMA, 0.1, 2.454, center=5.0, half_width=1.0)
-    assert initial_state(spec) == ChartState(w=5.0, t=0)
+    path, signal = one_row(spec, [5.0] * 10, spec.center)
+    assert path == [5.0] * 10 and not any(signal)
+    model = ProcessModel(mu_y0=5.0, mu_x0=-1.0, sigma_y=1.0, sigma_x=1.0, rho=0.3)
+    spec = make_limits(ChartKind.EWMA, 0.1, 2.454, model)
+    config = SimulationConfig(model, ShiftScenario(), spec, reps=1, master_seed=2)
+    (p,) = trace(config, StreamKey(2, 0), 1)
+    assert p.w == spec.lam * p.z + (1 - spec.lam) * 5.0
 
 
 def test_signal_on_strict_inequality_only():
     spec = ChartSpec(ChartKind.SHEWHART, 1.0, 2.807, center=0.0, half_width=1.0)
-    _, at_limit = update(initial_state(spec), spec, 1.0)
-    assert not at_limit
-    _, above = update(initial_state(spec), spec, math.nextafter(1.0, 2.0))
-    assert above
-    _, below = update(initial_state(spec), spec, -math.nextafter(1.0, 2.0))
-    assert below
+    above = math.nextafter(1.0, 2.0)
+    _, signal = one_row(spec, [1.0, -1.0, above, -above], spec.center)
+    assert signal == [False, False, True, True]
+
+
+def test_rows_are_independent_charts():
+    # A block of rows gives each row the path it gets on its own.
+    spec = ChartSpec(ChartKind.EWMA, 0.3, 2.0, center=0.5, half_width=0.8)
+    z = np.random.default_rng(4).normal(size=(5, 17))
+    w0 = np.linspace(-1.0, 1.0, 5)
+    path, signal = ewma_path(spec, z, w0)
+    assert path.shape == signal.shape == (5, 17)
+    for r in range(5):
+        row_path, row_signal = one_row(spec, z[r], w0[r])
+        assert path[r].tolist() == row_path
+        assert signal[r].tolist() == row_signal
 
 
 @settings(max_examples=150, deadline=None)
@@ -175,7 +180,7 @@ def test_signal_on_strict_inequality_only():
 def test_signal_symmetry_under_negation(z, w, lam):
     # Negating the centered inputs flips w - center and preserves signaling.
     spec = ChartSpec(ChartKind.EWMA, lam, 2.0, center=0.0, half_width=1.3)
-    pos, sig_pos = update(ChartState(w=w), spec, z)
-    neg, sig_neg = update(ChartState(w=-w), spec, -z)
-    assert neg.w == pytest.approx(-pos.w, abs=1e-12)
+    pos, sig_pos = one_row(spec, [z], w)
+    neg, sig_neg = one_row(spec, [-z], -w)
+    assert neg[0] == pytest.approx(-pos[0], abs=1e-12)
     assert sig_pos == sig_neg

@@ -215,6 +215,16 @@ def test_calibrate_rejects_unit_target(capsys):
     assert "exceed 1" in err
 
 
+@pytest.mark.parametrize("chart", ["shewhart", "ewma"])
+@pytest.mark.parametrize("target", ["inf", "nan"])
+def test_calibrate_rejects_non_finite_target(capsys, chart, target):
+    code, stdout, err = run(capsys, "calibrate", "--chart", chart,
+                            "--lambda", "0.1", "--target-arl0", target)
+    assert code == 2
+    assert stdout == ""
+    assert "finite" in err
+
+
 def test_calibrate_ewma_needs_lambda(capsys):
     code, _, _ = run(capsys, "calibrate", "--chart", "ewma",
                      "--target-arl0", "200")
@@ -256,6 +266,14 @@ def test_profile_equiv_passes(capsys):
     assert "pass" in stdout
 
 
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_profile_equiv_rejects_no_trials(capsys, trials):
+    code, stdout, err = run(capsys, "profile-equiv", "--trials", trials)
+    assert code == 2
+    assert "pass" not in stdout
+    assert "trials" in err
+
+
 def test_threads_env_var_fallback(tmp_path, capsys, monkeypatch):
     argv = ["simulate", "--chart", "shewhart", "--L", "2.807",
             "--reps", "1500", "--seed", "13"]
@@ -287,3 +305,18 @@ def test_simulate_help_documents_units_and_defaults(capsys):
     assert "standardized" in out
     assert "50,000" in out
     assert "200" in out
+
+
+@pytest.mark.parametrize("flag, env", [("0", None), ("-3", None), (None, "-2"), (None, "0")])
+def test_threads_below_one_rejected(capsys, monkeypatch, flag, env):
+    argv = ["simulate", "--chart", "shewhart", "--L", "2.807", "--reps", "50"]
+    if flag is not None:
+        argv += ["--threads", flag]
+    if env is not None:
+        monkeypatch.setenv("AIBMON_THREADS", env)
+    else:
+        monkeypatch.delenv("AIBMON_THREADS", raising=False)
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert "thread" in err

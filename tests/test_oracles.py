@@ -9,7 +9,6 @@ from aibmon import (
     ProcessModel,
     ShiftMode,
     ShiftScenario,
-    StandardizedShift,
     calibrate_limit,
     ewma_arl_markov,
     shewhart_arl_exact,
@@ -25,15 +24,15 @@ EWMA_DESIGNS = [(0.05, 2.216), (0.10, 2.454), (0.20, 2.636), (0.50, 2.777)]
 
 def test_no_shift_standardizes_to_zero():
     s = standardized_shift(ProcessModel.standard(0.5), ShiftScenario())
-    assert s.s == 0.0
+    assert s == 0.0
 
 
 def test_auxiliary_only_shift():
     s = standardized_shift(
         ProcessModel.standard(0.75), ShiftScenario(delta_x=1.0)
     )
-    assert s.s == pytest.approx(-0.75 / math.sqrt(0.4375))
-    assert s.s == pytest.approx(-1.1339, abs=1e-4)
+    assert s == pytest.approx(-0.75 / math.sqrt(0.4375))
+    assert s == pytest.approx(-1.1339, abs=1e-4)
 
 
 def test_masking_scenario_standardizes_to_exact_zero():
@@ -41,18 +40,14 @@ def test_masking_scenario_standardizes_to_exact_zero():
         ProcessModel.standard(0.5),
         ShiftScenario(delta_y=2.0, mode=ShiftMode.MASKING),
     )
-    assert s.s == 0.0
+    assert s == 0.0
 
 
 def test_general_independent_residual():
     s = standardized_shift(
         ProcessModel.standard(0.5), ShiftScenario(delta_y=1.0, delta_x=0.8)
     )
-    assert s.s == pytest.approx((1.0 - 0.5 * 0.8) / math.sqrt(0.75))
-
-
-def test_standardized_shift_floats():
-    assert float(StandardizedShift(1.5)) == 1.5
+    assert s == pytest.approx((1.0 - 0.5 * 0.8) / math.sqrt(0.75))
 
 
 # ------------------------------------------------------------ Shewhart exact
@@ -188,6 +183,13 @@ def test_calibration_rejects_trivial_target():
         calibrate_limit(ChartKind.SHEWHART, 1.0, 1.0)
     with pytest.raises(ValueError):
         calibrate_limit(ChartKind.EWMA, 0.1, 0.5)
+
+
+@pytest.mark.parametrize("kind, lam", [(ChartKind.SHEWHART, 1.0), (ChartKind.EWMA, 0.1)])
+@pytest.mark.parametrize("target", [math.inf, math.nan])
+def test_calibration_rejects_non_finite_target(kind, lam, target):
+    with pytest.raises(ValueError, match="finite"):
+        calibrate_limit(kind, lam, target)
 
 
 def test_calibration_reports_unreachable_target():

@@ -18,7 +18,7 @@ from aibmon import (
     shewhart_arl_exact,
     trace,
 )
-from aibmon import charts, estimators, runlength, sample_subgroup, shifted_means
+from aibmon import estimators, runlength, sample_subgroup, shifted_means
 from aibmon.runlength import simulate_run_lengths, summarize_run_lengths
 
 
@@ -135,25 +135,37 @@ def test_run_to_signal_matches_batched_engine():
         assert run_to_signal(config, StreamKey(31, r)) == rl[r]
 
 
+def scalar_walk(config, key, n_subgroups):
+    """Independent reference: one subgroup at a time through sample_subgroup,
+    the difference estimator and the EWMA recursion written out.
+
+    Yields (t, x_bar, y_bar, z, w, signal) for t = 1..n_subgroups.
+    """
+    model, scenario, spec = config.model, config.scenario, config.spec
+    mu_y1, mu_x1 = shifted_means(model, scenario)
+    lam = spec.lam
+    w = spec.center
+    for t in range(1, n_subgroups + 1):
+        mu = (model.mu_y0, model.mu_x0) if t <= scenario.changepoint else (mu_y1, mu_x1)
+        m = estimators.moments(sample_subgroup(model, mu[0], mu[1], key, t - 1))
+        z = estimators.difference_estimate(m, model)
+        w = lam * z + (1 - lam) * w
+        yield t, m.x_bar, m.y_bar, z, w, abs(w - spec.center) > spec.half_width
+
+
 def test_run_to_signal_matches_scalar_chart_walk():
-    # Engine values replicate the sample_subgroup -> statistic -> update path.
+    # Engine values replicate the sample_subgroup -> statistic -> EWMA path.
     model = ProcessModel(0.2, -0.4, 1.1, 0.9, rho=0.55, n=3)
     scenario = ShiftScenario(delta_y=0.8, delta_x=0.2, changepoint=4)
     spec = make_limits(ChartKind.EWMA, 0.2, 2.636, model)
     config = SimulationConfig(model, scenario, spec, reps=1, master_seed=41)
-    mu_y1, mu_x1 = shifted_means(model, scenario)
     for rep in range(6):
         key = StreamKey(41, rep)
-        state = charts.initial_state(spec)
-        walked = None
-        for t in range(1, 20_001):
-            mu = (model.mu_y0, model.mu_x0) if t <= scenario.changepoint else (mu_y1, mu_x1)
-            sample = sample_subgroup(model, mu[0], mu[1], key, t - 1)
-            z = charts.aib_statistic(estimators.moments(sample), model)
-            state, sig = charts.update(state, spec, z)
-            if sig and t > scenario.changepoint:
-                walked = t - scenario.changepoint
-                break
+        walked = next(
+            t - scenario.changepoint
+            for t, *_, sig in scalar_walk(config, key, 20_000)
+            if sig and t > scenario.changepoint
+        )
         assert walked == run_to_signal(config, key)
 
 
@@ -217,7 +229,7 @@ def test_trace_single_in_control_subgroup():
     assert len(points) == 1
     p = points[0]
     sample = sample_subgroup(model, 0.0, 0.0, key, 0)
-    z1 = charts.aib_statistic(estimators.moments(sample), model)
+    z1 = estimators.difference_estimate(estimators.moments(sample), model)
     assert p.t == 1
     assert p.z == z1
     assert p.w == spec.lam * z1 + (1 - spec.lam) * spec.center
@@ -263,3 +275,20 @@ def test_trace_matches_run_to_signal():
     assert first_signal == rl
     # zero changepoint with a real shift: shifted regime from the start
     assert all(p.regime == "out-of-control" for p in points)
+
+
+def test_trace_matches_scalar_walk_point_by_point():
+    # Every emitted point equals the scalar reference walk, across a masked
+    # shift at subgroup 70 and with a chart tight enough to signal often.
+    model = ProcessModel(0.2, -0.4, 1.1, 0.9, rho=0.55, n=3)
+    scenario = ShiftScenario(delta_y=1.5, mode=ShiftMode.MASKING, changepoint=70)
+    spec = make_limits(ChartKind.EWMA, 0.2, 1.2, model)
+    config = SimulationConfig(model, scenario, spec, reps=1, master_seed=2**40 + 1)
+    key = StreamKey(2**40 + 1, 3)
+    points = trace(config, key, 200)
+    assert len(points) == 200
+    reference = list(scalar_walk(config, key, 200))
+    assert any(sig for *_, sig in reference) and not all(sig for *_, sig in reference)
+    for p, (t, x_bar, y_bar, z, w, sig) in zip(points, reference):
+        assert (p.t, p.x_bar, p.y_bar, p.z, p.w, p.signal) == (t, x_bar, y_bar, z, w, sig)
+        assert p.regime == ("in-control" if t <= 70 else "out-of-control")
