@@ -12,6 +12,7 @@ signal rule; the run-length engine and ``trace`` both call it.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -71,22 +72,16 @@ def make_limits(
     For a Shewhart chart ``lam`` is ignored and forced to 1. The half-width
     scales with sigma_y (the plotted statistic's standard deviation), which
     is what makes the stock multiplier 2.807 deliver an in-control ARL of
-    200.
+    200. The spec is built, and so validated, before the half-width
+    arithmetic, which needs 0 < lam <= 1.
     """
     if kind is ChartKind.SHEWHART:
         lam = 1.0
-    elif not 0.0 < lam <= 1.0:
-        raise InvalidLambda(f"lambda must be in (0, 1], got {lam}")
+    spec = ChartSpec(kind, lam, limit_multiplier, center=model.mu_y0, half_width=0.0)
     base = model.sigma_y * math.sqrt(1.0 - model.rho**2) / math.sqrt(model.n)
     if kind is ChartKind.EWMA:
         base *= math.sqrt(lam / (2.0 - lam))
-    return ChartSpec(
-        kind=kind,
-        lam=lam,
-        limit_multiplier=limit_multiplier,
-        center=model.mu_y0,
-        half_width=limit_multiplier * base,
-    )
+    return dataclasses.replace(spec, half_width=limit_multiplier * base)
 
 
 def ewma_path(

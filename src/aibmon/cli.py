@@ -48,6 +48,9 @@ _CONFIG_KEYS = {
     "out",
 }
 
+# Config keys that hold strings; every other key holds a number.
+_STRING_KEYS = ("chart", "mode", "out")
+
 # Config keys that must hold whole numbers; 1e7 is accepted, 2.5 is not.
 _INTEGER_KEYS = ("n", "changepoint", "reps", "seed", "rl_cap")
 
@@ -88,16 +91,18 @@ def _load_config(path: str) -> dict:
     unknown = set(doc) - _CONFIG_KEYS
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for key in _INTEGER_KEYS:
-        if key not in doc:
-            continue
-        value = doc[key]
-        integral = isinstance(value, int) or (
-            isinstance(value, float) and value.is_integer()
-        )
-        if isinstance(value, bool) or not integral:
-            raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
-        doc[key] = int(value)
+    for key, value in doc.items():
+        if key in _STRING_KEYS:
+            if not isinstance(value, str):
+                raise ValueError(f"config key {key!r} must be a string, got {value!r}")
+        elif isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"config key {key!r} must be a number, got {value!r}")
+        elif key in _INTEGER_KEYS:
+            if not (isinstance(value, int) or value.is_integer()):
+                raise ValueError(
+                    f"config key {key!r} must be an integer, got {value!r}"
+                )
+            doc[key] = int(value)
     return doc
 
 

@@ -42,8 +42,11 @@ PERCENTILE_LEVELS = (5, 25, 50, 75, 95)
 # Subgroups drawn per replication per round: geometric growth keeps short
 # runs cheap without many Python-level rounds for long ones. The schedule
 # depends only on the round number, so per-replication consumption is
-# identical however replications are chunked.
+# identical however replications are chunked. A round's words are decoded
+# and charted _SLICE subgroups at a time, so a replication that signals
+# early in a round never has the rest of its words decoded.
 _BLOCK_FIRST = 64
+_SLICE = 16
 _BLOCK_MAX = 1024
 _CHUNK = 4096
 _MAX_CENSORED_FRACTION = 0.001
@@ -118,10 +121,11 @@ def _chunk_run_lengths(
 ) -> np.ndarray:
     """Run lengths for a batch of replications, vectorized across the batch.
 
-    Each replication consumes its own substream block by block; a censored
-    replication reports the cap itself. Values are bit-identical to a
-    scalar walk (sample_subgroup, the statistic, the EWMA recursion) over
-    the same keys.
+    Each replication consumes its own substream block by block; a block is
+    decoded and charted slice by slice, and a replication that signals is
+    dropped before the next slice. A censored replication reports the cap
+    itself. Values are bit-identical to a scalar walk (sample_subgroup, the
+    statistic, the EWMA recursion) over the same keys.
     """
     model, scenario, spec = config.model, config.scenario, config.spec
     changepoint = scenario.changepoint
@@ -137,14 +141,21 @@ def _chunk_run_lengths(
         count = min(block, horizon - t0)
         block = min(2 * block, _BLOCK_MAX)
         words = source.take(alive, t0, count)
-        _, _, z = _subgroup_statistics(model, scenario, words, t0)
-        path, signal = charts.ewma_path(spec, z, w[alive])
-        w[alive] = path[:, -1]
-        # Signals up to the changepoint do not count.
-        signal[:, : max(changepoint - t0, 0)] = False
-        done = signal.any(axis=1)
-        rl[alive[done]] = t0 + 1 - changepoint + signal[done].argmax(axis=1)
-        alive = alive[~done]
+        # Rows of ``words`` that belong to the replications still alive.
+        sub = np.arange(alive.size)
+        for s in range(0, count, _SLICE):
+            if not alive.size:
+                break
+            t = t0 + s
+            slice_words = words[sub, s : s + _SLICE]
+            _, _, z = _subgroup_statistics(model, scenario, slice_words, t)
+            path, signal = charts.ewma_path(spec, z, w[alive])
+            w[alive] = path[:, -1]
+            # Signals up to the changepoint do not count.
+            signal[:, : max(changepoint - t, 0)] = False
+            done = signal.any(axis=1)
+            rl[alive[done]] = t + 1 - changepoint + signal[done].argmax(axis=1)
+            alive, sub = alive[~done], sub[~done]
         t0 += count
 
     rl[alive] = config.rl_cap

@@ -281,7 +281,10 @@ def words_per_subgroup(n: int) -> int:
 
 
 def _uniforms(raw: np.ndarray) -> np.ndarray:
-    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * _UNIFORM_SCALE
+    # raw >> 11 < 2**53, so its conversion to float64 inside the add is exact.
+    u = np.add(raw >> np.uint64(11), 0.5)
+    u *= _UNIFORM_SCALE
+    return u
 
 
 def normals_from_words(n: int, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -292,7 +295,8 @@ def normals_from_words(n: int, words: np.ndarray) -> tuple[np.ndarray, np.ndarra
     discarded. Used by both the scalar and the batched generation paths so
     the decoded values agree bitwise.
     """
-    z = ndtri(_uniforms(words[..., : 2 * n]))
+    z = _uniforms(words[..., : 2 * n])
+    ndtri(z, out=z)
     return z[..., :n], z[..., n : 2 * n]
 
 
@@ -380,14 +384,15 @@ def pairs_from_normals(
 
     Shared by the scalar and block-vectorized paths so both produce
     bit-identical values from the same normals; broadcasts over any leading
-    axes.
+    axes. Computes y = (mu_y + (rho*sigma_y)*zx) + (sigma_y*sqrt(1-rho^2))*ze
+    in that order, in place on its own temporaries; ``zx`` and ``ze`` are
+    not written.
     """
-    x = mu_x + model.sigma_x * zx
-    y = (
-        mu_y
-        + model.rho * model.sigma_y * zx
-        + model.sigma_y * math.sqrt(1.0 - model.rho**2) * ze
-    )
+    x = model.sigma_x * zx
+    x += mu_x
+    y = (model.rho * model.sigma_y) * zx
+    y += mu_y
+    y += (model.sigma_y * math.sqrt(1.0 - model.rho**2)) * ze
     return y, x
 
 

@@ -98,8 +98,11 @@ def test_invalid_lambda_rejected():
     model = ProcessModel.standard(0.0)
     with pytest.raises(InvalidLambda):
         make_limits(ChartKind.EWMA, 0.0, 2.5, model)
-    with pytest.raises(InvalidLambda):
-        make_limits(ChartKind.EWMA, 1.2, 2.5, model)
+    # lam = 2 would divide by zero and lam > 2 take a negative square root
+    # in the half-width, so the spec must reject them before that arithmetic.
+    for lam in (1.2, 2.0, 3.0, math.nan):
+        with pytest.raises(InvalidLambda):
+            make_limits(ChartKind.EWMA, lam, 2.5, model)
     with pytest.raises(InvalidLambda):
         ChartSpec(ChartKind.SHEWHART, lam=0.4, limit_multiplier=2.8, center=0, half_width=1)
 

@@ -169,6 +169,21 @@ def test_config_rejects_non_integer_counts(tmp_path, capsys, key, value):
     assert key in err
 
 
+@pytest.mark.parametrize(
+    "key, value", [("rho", None), ("delta_x", [1]), ("sigma_y", True),
+                   ("L", {"value": 2.807}), ("lambda", "0.1"),
+                   ("mode", 1), ("out", ["a.csv"])]
+)
+def test_config_rejects_values_of_the_wrong_type(tmp_path, capsys, key, value):
+    doc = {"chart": "ewma", "L": 2.454, "reps": 100, "rl_cap": 100}
+    doc[key] = value
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "simulate", "--config", str(cfg))
+    assert code == 2
+    assert key in err
+
+
 def test_config_accepts_integral_floats(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"chart": "shewhart", "L": 2.807, "reps": 500.0,

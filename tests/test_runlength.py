@@ -20,6 +20,13 @@ from aibmon import (
 )
 from aibmon import estimators, runlength, sample_subgroup, shifted_means
 from aibmon.runlength import simulate_run_lengths, summarize_run_lengths
+from aibmon.stochastics import (
+    SubgroupStream,
+    SubstreamWords,
+    normals_from_words,
+    pairs_from_normals,
+    substream_keys,
+)
 
 
 def shewhart_config(rho=0.0, reps=1000, seed=7, **scenario_kwargs):
@@ -108,11 +115,15 @@ def test_run_lengths_independent_of_threading_and_chunking():
 
 
 @pytest.mark.parametrize(
-    "block_first, block_max, chunk", [(1, 1, 7), (3, 5, 100), (16, 4096, 4096)]
+    "slice_width, block_first, block_max, chunk",
+    [(1, 1, 1, 7), (7, 3, 5, 100), (4096, 16, 4096, 4096)],
 )
-def test_run_lengths_independent_of_block_schedule(monkeypatch, block_first, block_max, chunk):
+def test_run_lengths_independent_of_block_schedule(
+    monkeypatch, slice_width, block_first, block_max, chunk
+):
     # Subgroup t always reads the same word slot of its replication's
-    # substream, so the round sizes and the chunking cannot move a result.
+    # substream, so the slice width, the round sizes and the chunking cannot
+    # move a result.
     model = ProcessModel(0.2, -0.4, 1.1, 0.9, rho=0.55, n=3)
     config = SimulationConfig(
         model,
@@ -122,10 +133,39 @@ def test_run_lengths_independent_of_block_schedule(monkeypatch, block_first, blo
         master_seed=2**40 + 3,
     )
     default = simulate_run_lengths(config)
+    monkeypatch.setattr(runlength, "_SLICE", slice_width)
     monkeypatch.setattr(runlength, "_BLOCK_FIRST", block_first)
     monkeypatch.setattr(runlength, "_BLOCK_MAX", block_max)
     monkeypatch.setattr(runlength, "_CHUNK", chunk)
     assert np.array_equal(simulate_run_lengths(config), default)
+
+
+def test_decode_leaves_the_callers_words_unchanged(monkeypatch):
+    # The decode works in place on its own temporaries; the word block it
+    # is given must come back untouched.
+    model = ProcessModel(0.2, -0.4, 1.1, 0.9, rho=0.55, n=3)
+    scenario = ShiftScenario(delta_y=0.8, changepoint=5)
+    words = SubstreamWords(3, substream_keys(5, [0, 1, 2])).take([0, 1, 2], 0, 12)
+    before = words.copy()
+    zx, ze = normals_from_words(3, words)
+    zx_before, ze_before = zx.copy(), ze.copy()
+    pairs_from_normals(model, 1.0, -1.0, zx, ze)
+    runlength._subgroup_statistics(model, scenario, words, 0)
+    assert np.array_equal(words, before)
+    assert np.array_equal(zx, zx_before) and np.array_equal(ze, ze_before)
+
+    handed_out = []
+    take_words = SubgroupStream.take_words
+
+    def spy(self, count):
+        raw = take_words(self, count)
+        handed_out.append((raw, raw.copy()))
+        return raw
+
+    monkeypatch.setattr(SubgroupStream, "take_words", spy)
+    spec = make_limits(ChartKind.EWMA, 0.2, 2.636, model)
+    trace(SimulationConfig(model, scenario, spec), StreamKey(5, 1), 40)
+    assert handed_out and all(np.array_equal(a, b) for a, b in handed_out)
 
 
 def test_run_to_signal_matches_batched_engine():
