@@ -43,14 +43,21 @@ def standardized_shift(model: ProcessModel, scenario: ShiftScenario) -> float:
     )
 
 
+def _check_limit_and_shift(L: float, s: float) -> None:
+    """Reject what would otherwise come out as a NaN ARL or a wasted solve."""
+    if not 0.0 < L < math.inf:
+        raise ValueError(f"limit multiplier L must be positive and finite, got {L}")
+    if math.isnan(s):
+        raise ValueError("standardized shift s must not be NaN")
+
+
 def shewhart_arl_exact(L: float, s: float) -> float:
     """Closed-form Shewhart ARL: 1 / p with p the two-sided exceedance.
 
     p = Phi(-(L - s)) + Phi(-(L + s)); the run length is geometric because
-    subgroups are independent.
+    subgroups are independent. s = +-inf gives p = 1, ARL 1.
     """
-    if L <= 0:
-        raise ValueError("limit multiplier L must be positive")
+    _check_limit_and_shift(L, s)
     p = float(ndtr(-(L - s)) + ndtr(-(L + s)))
     if p == 0.0:
         return math.inf
@@ -64,31 +71,49 @@ def ewma_arl_markov(lam: float, L: float, s: float, n_states: int = 401) -> floa
     in (-h, h) with h = L * sqrt(lam / (2 - lam)). The interval is cut into
     ``n_states`` equal cells; transition mass from cell center c_j into
     cell k is Phi(hi) - Phi(lo) with the cell edges mapped back through the
-    recursion. With absorption outside the limits, the expected absorption
+    recursion. Neighbouring cells share an edge, so each row evaluates Phi
+    once on its n_states + 1 mapped edges and Q is the difference along
+    the row. With absorption outside the limits, the expected absorption
     time solves (I - Q) a = 1 and the chart starts at the center cell.
+
+    In control (s = 0) the chain is symmetric about the center: cell j
+    maps to cell n - 1 - j with every edge negated, and Phi(-x) = 1 -
+    Phi(x), so Q[n-1-j, n-1-k] = Q[j, k] and the unique solution a is
+    symmetric, a[j] = a[n-1-j]. Substituting that into rows 0..n//2 folds
+    column k onto column n - 1 - k and leaves a half-size system with the
+    same solution, so only the upper half of the rows is built and solved.
 
     The approximation converges at second order in the cell width;
     n_states = 401 is accurate to well under 0.1% at in-control ARL 200.
-    lam = 1 reproduces the Shewhart closed form.
+    lam = 1 reproduces the Shewhart closed form, and s = +-inf gives ARL 1.
     """
     if not 0.0 < lam <= 1.0:
         raise InvalidLambda(f"lambda must be in (0, 1], got {lam}")
-    if L <= 0:
-        raise ValueError("limit multiplier L must be positive")
-    if n_states < 51 or n_states % 2 == 0:
-        raise ValueError("n_states must be odd and >= 51")
+    _check_limit_and_shift(L, s)
+    integral = isinstance(n_states, (int, np.integer))
+    if not integral or n_states < 51 or n_states % 2 == 0:
+        raise ValueError(f"n_states must be an odd integer >= 51, got {n_states!r}")
+    center = n_states // 2
+    in_control = s == 0.0
+    rows = center + 1 if in_control else n_states
     h = L * math.sqrt(lam / (2.0 - lam))
     width = 2.0 * h / n_states
-    centers = -h + (np.arange(n_states) + 0.5) * width
-    carried = (1.0 - lam) * centers[:, None]
-    lo = (centers[None, :] - 0.5 * width - carried) / lam
-    hi = (centers[None, :] + 0.5 * width - carried) / lam
-    Q = ndtr(hi - s) - ndtr(lo - s)
+    centers = -h + (np.arange(rows) + 0.5) * width
+    edges = -h + np.arange(n_states + 1) * width
+    z = (edges[None, :] - (1.0 - lam) * centers[:, None]) / lam
+    z -= s
+    A = np.diff(ndtr(z, out=z), axis=1)  # Q, one row per start cell
+    if in_control:
+        A[:, :center] += A[:, :center:-1]  # column n-1-k onto column k
+        A = A[:, :rows]
+    np.negative(A, out=A)
+    diagonal = np.arange(rows)
+    A[diagonal, diagonal] += 1.0
     try:
-        a = np.linalg.solve(np.eye(n_states) - Q, np.ones(n_states))
+        a = np.linalg.solve(A, np.ones(rows))
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"I - Q singular for lam={lam}, L={L}") from exc
-    arl = float(a[n_states // 2])
+    arl = float(a[center])
     if not math.isfinite(arl) or arl < 1.0:
         raise SingularSystem(
             f"Markov solve produced invalid ARL {arl} for lam={lam}, L={L}"
@@ -113,8 +138,14 @@ def calibrate_limit(
     if kind is ChartKind.SHEWHART:
         return float(-ndtri(0.5 / target_arl0))
 
+    # brentq re-evaluates the bracket ends and the residual check re-evaluates
+    # its root, so each distinct L is solved once and remembered for this call.
+    solved: dict[float, float] = {}
+
     def gap(L: float) -> float:
-        return ewma_arl_markov(lam, L, 0.0, n_states) - target_arl0
+        if L not in solved:
+            solved[L] = ewma_arl_markov(lam, L, 0.0, n_states)
+        return solved[L] - target_arl0
 
     # ARL grows monotonically (and eventually astronomically) in L; walk the
     # bracket upper end outward until the gap turns positive, stopping at 10

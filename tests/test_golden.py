@@ -1,9 +1,12 @@
-"""Fixed-seed output digests: the engine's results may not move by one bit.
+"""Recorded outputs: the engine's results may not move by one bit.
 
 The digests were recorded at commit 261f17e ("One chart kernel for the
 engine and trace"), before the engine decoded in slices. A change that
 moves any of them changes what a fixed seed produces, which the randomness
 contract forbids; a refactor or speed-up must leave them all in place.
+
+The ``aibmon calibrate`` lines were recorded at commit 4d9a6e0, before the
+Markov solve was restructured; they cover the benchmark's calibration grid.
 """
 
 import dataclasses
@@ -12,6 +15,7 @@ import json
 
 import pytest
 
+from aibmon import cli
 from aibmon import (
     ChartKind,
     ProcessModel,
@@ -121,3 +125,46 @@ def test_run_lengths_match_recorded_digest(name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_trace_matches_recorded_digest(name):
     assert trace_digest(CASES[name]) == TRACE_DIGESTS[name]
+
+
+CALIBRATE_LINES = {
+    ("0.05", "100"): "L 1.878664 method markov achieved_arl0 100.000",
+    ("0.05", "200"): "L 2.215761 method markov achieved_arl0 200.000",
+    ("0.05", "370"): "L 2.489807 method markov achieved_arl0 370.000",
+    ("0.05", "500"): "L 2.615197 method markov achieved_arl0 500.000",
+    ("0.05", "1000"): "L 2.883953 method markov achieved_arl0 1000.000",
+    ("0.1", "100"): "L 2.147603 method markov achieved_arl0 100.000",
+    ("0.1", "200"): "L 2.454061 method markov achieved_arl0 200.000",
+    ("0.1", "370"): "L 2.701116 method markov achieved_arl0 370.000",
+    ("0.1", "500"): "L 2.814391 method markov achieved_arl0 500.000",
+    ("0.1", "1000"): "L 3.058674 method markov achieved_arl0 1000.000",
+    ("0.2", "100"): "L 2.359569 method markov achieved_arl0 100.000",
+    ("0.2", "200"): "L 2.635402 method markov achieved_arl0 200.000",
+    ("0.2", "370"): "L 2.858996 method markov achieved_arl0 370.000",
+    ("0.2", "500"): "L 2.962218 method markov achieved_arl0 500.000",
+    ("0.2", "1000"): "L 3.186638 method markov achieved_arl0 1000.000",
+    ("0.5", "100"): "L 2.534033 method markov achieved_arl0 100.000",
+    ("0.5", "200"): "L 2.777169 method markov achieved_arl0 200.000",
+    ("0.5", "370"): "L 2.977513 method markov achieved_arl0 370.000",
+    ("0.5", "500"): "L 3.071067 method markov achieved_arl0 500.000",
+    ("0.5", "1000"): "L 3.276752 method markov achieved_arl0 1000.000",
+}
+
+SHEWHART_CALIBRATE_LINE = "L 2.807034 method analytic achieved_arl0 200.000"
+
+
+def calibrate_stdout(capsys, *argv):
+    assert cli.main(["calibrate", *argv]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("lam, target", sorted(CALIBRATE_LINES))
+def test_ewma_calibrate_prints_recorded_line(capsys, lam, target):
+    out = calibrate_stdout(capsys, "--chart", "ewma", "--lambda", lam,
+                           "--target-arl0", target)
+    assert out == CALIBRATE_LINES[lam, target] + "\n"
+
+
+def test_shewhart_calibrate_prints_recorded_line(capsys):
+    out = calibrate_stdout(capsys, "--chart", "shewhart", "--target-arl0", "200")
+    assert out == SHEWHART_CALIBRATE_LINE + "\n"

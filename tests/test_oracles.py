@@ -1,7 +1,12 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtr
 
+from aibmon import oracles
 from aibmon import (
     ChartKind,
     InvalidLambda,
@@ -83,6 +88,17 @@ def test_shewhart_rejects_nonpositive_L():
         shewhart_arl_exact(0.0, 0.0)
 
 
+@pytest.mark.parametrize("L", [math.nan, math.inf])
+def test_shewhart_rejects_non_finite_L(L):
+    with pytest.raises(ValueError, match="finite"):
+        shewhart_arl_exact(L, 0.0)
+
+
+def test_shewhart_rejects_nan_shift():
+    with pytest.raises(ValueError, match="NaN"):
+        shewhart_arl_exact(2.807, math.nan)
+
+
 # ------------------------------------------------------------- Markov chain
 
 
@@ -137,6 +153,98 @@ def test_markov_validates_inputs():
         ewma_arl_markov(0.1, -1.0, 0.0)
 
 
+@pytest.mark.parametrize("L", [math.nan, math.inf])
+def test_markov_rejects_non_finite_L(L):
+    with pytest.raises(ValueError, match="finite"):
+        ewma_arl_markov(0.1, L, 0.0)
+
+
+def test_markov_rejects_nan_shift():
+    with pytest.raises(ValueError, match="NaN"):
+        ewma_arl_markov(0.1, 2.454, math.nan)
+
+
+@pytest.mark.parametrize("n_states", [401.0, "401", None])
+def test_markov_rejects_non_integer_state_count(n_states):
+    with pytest.raises(ValueError, match="integer"):
+        ewma_arl_markov(0.1, 2.454, 0.0, n_states=n_states)
+
+
+def test_markov_accepts_numpy_integer_state_count():
+    assert ewma_arl_markov(0.1, 2.454, 0.0, np.int64(401)) == ewma_arl_markov(
+        0.1, 2.454, 0.0, 401
+    )
+
+
+@pytest.mark.parametrize("s", [math.inf, -math.inf])
+def test_infinite_shift_signals_at_once(s):
+    assert ewma_arl_markov(0.1, 2.454, s) == 1.0
+    assert shewhart_arl_exact(2.807, s) == 1.0
+
+
+# ------------------------------------------------- Markov chain properties
+
+lambdas = st.floats(0.02, 1.0)
+limits = st.floats(0.5, 4.0)
+shifts = st.floats(-3.0, 3.0)
+odd_state_counts = st.integers(25, 200).map(lambda k: 2 * k + 1)  # 51..401
+
+
+def full_chain_arl(lam, L, s, n_states):
+    """The whole n_states-square chain, each cell's bounds evaluated apart."""
+    h = L * math.sqrt(lam / (2.0 - lam))
+    width = 2.0 * h / n_states
+    centers = -h + (np.arange(n_states) + 0.5) * width
+    carried = (1.0 - lam) * centers[:, None]
+    lo = (centers[None, :] - 0.5 * width - carried) / lam
+    hi = (centers[None, :] + 0.5 * width - carried) / lam
+    Q = ndtr(hi - s) - ndtr(lo - s)
+    a = np.linalg.solve(np.eye(n_states) - Q, np.ones(n_states))
+    return float(a[n_states // 2])
+
+
+@settings(max_examples=40, deadline=None)
+@given(lam=lambdas, L=limits, s=shifts, n_states=odd_state_counts)
+def test_markov_matches_full_chain_reference(lam, L, s, n_states):
+    assert ewma_arl_markov(lam, L, s, n_states) == pytest.approx(
+        full_chain_arl(lam, L, s, n_states), rel=1e-9
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(lam=lambdas, L=limits, n_states=odd_state_counts)
+def test_in_control_half_chain_matches_full_chain_reference(lam, L, n_states):
+    assert ewma_arl_markov(lam, L, 0.0, n_states) == pytest.approx(
+        full_chain_arl(lam, L, 0.0, n_states), rel=1e-9
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(lam=lambdas, L=limits, step=st.floats(0.01, 1.0), s=shifts,
+       n_states=odd_state_counts)
+def test_markov_monotone_in_L(lam, L, step, s, n_states):
+    assert ewma_arl_markov(lam, L, s, n_states) <= ewma_arl_markov(
+        lam, L + step, s, n_states
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(lam=lambdas, L=limits, s=st.floats(0.0, 3.0), step=st.floats(0.01, 1.0),
+       sign=st.sampled_from([1.0, -1.0]), n_states=odd_state_counts)
+def test_markov_monotone_in_shift_magnitude(lam, L, s, step, sign, n_states):
+    assert ewma_arl_markov(lam, L, sign * (s + step), n_states) <= ewma_arl_markov(
+        lam, L, sign * s, n_states
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(L=limits, s=shifts, n_states=odd_state_counts)
+def test_markov_at_lambda_one_is_shewhart(L, s, n_states):
+    assert ewma_arl_markov(1.0, L, s, n_states) == pytest.approx(
+        shewhart_arl_exact(L, s), rel=1e-3
+    )
+
+
 # --------------------------------------------------------------- calibration
 
 
@@ -152,6 +260,19 @@ def test_ewma_calibration_recovers_published_limits(lam, published):
     L = calibrate_limit(ChartKind.EWMA, lam, 200.0)
     assert L == pytest.approx(published, abs=0.02)
     assert ewma_arl_markov(lam, L, 0.0) == pytest.approx(200.0, abs=0.1)
+
+
+def test_calibration_solves_each_limit_once(monkeypatch):
+    solved = []
+
+    def counting(lam, L, s, n_states=401):
+        solved.append(L)
+        return ewma_arl_markov(lam, L, s, n_states)
+
+    monkeypatch.setattr(oracles, "ewma_arl_markov", counting)
+    calibrate_limit(ChartKind.EWMA, 0.1, 200.0)
+    assert len(solved) > 5
+    assert len(solved) == len(set(solved))
 
 
 def test_calibration_round_trip_through_simulation():
