@@ -22,8 +22,14 @@ from .experiments import (
     table1_csv_lines,
     trace_csv_lines,
 )
-from .oracles import calibrate_limit, ewma_arl_markov, shewhart_arl_exact
-from .runlength import RunLengthSummary, SimulationConfig, estimate_runlength
+from .oracles import _calibrate, calibrate_limit
+from .oracles import ewma_arl_markov  # noqa: F401  (bench/layers.py hooks this name)
+from .runlength import (
+    RunLengthSummary,
+    SimulationConfig,
+    estimate_runlength,
+    usable_cpus,
+)
 from .stochastics import ProcessModel, ShiftMode, ShiftScenario
 
 # Keys accepted in a --config JSON document (flat, mirroring the flags).
@@ -74,12 +80,12 @@ _SIMULATE_DEFAULTS = {
 
 
 def _resolve_threads(value) -> int:
-    """--threads if given, else AIBMON_THREADS, else 1; must be at least 1."""
+    """Worker processes: --threads, else AIBMON_THREADS, else the usable CPUs."""
     if value is None:
-        value = os.environ.get("AIBMON_THREADS") or 1
+        value = os.environ.get("AIBMON_THREADS") or usable_cpus()
     threads = int(value)
     if threads < 1:
-        raise ValueError(f"thread count must be >= 1, got {threads}")
+        raise ValueError(f"worker count (--threads) must be >= 1, got {threads}")
     return threads
 
 
@@ -205,11 +211,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     lam = 1.0 if kind is ChartKind.SHEWHART else args.lam
     if lam is None:
         raise ValueError("--lambda is required for an EWMA chart")
-    limit = calibrate_limit(kind, lam, args.target_arl0)
-    if kind is ChartKind.SHEWHART:
-        method, achieved = "analytic", shewhart_arl_exact(limit, 0.0)
-    else:
-        method, achieved = "markov", ewma_arl_markov(lam, limit, 0.0)
+    limit, achieved = _calibrate(kind, lam, args.target_arl0)
+    method = "analytic" if kind is ChartKind.SHEWHART else "markov"
     print(f"L {limit:.6f} method {method} achieved_arl0 {achieved:.3f}")
     return 0
 
@@ -323,8 +326,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", default=None,
                      help="write the summary (.csv, or .json/.jsonl)")
     sim.add_argument("--threads", type=int, default=None,
-                     help="worker threads (env AIBMON_THREADS; results "
-                          "do not depend on this)")
+                     help="worker processes (env AIBMON_THREADS; default "
+                          "the usable CPUs; results do not depend on this)")
     sim.set_defaults(func=cmd_simulate)
 
     cal = sub.add_parser(

@@ -133,10 +133,18 @@ def calibrate_limit(
     the Markov-chain ARL in L and solves by Brent's method to |ARL -
     target| < 0.1.
     """
+    return _calibrate(kind, lam, target_arl0, n_states)[0]
+
+
+def _calibrate(
+    kind: ChartKind, lam: float, target_arl0: float, n_states: int = 401
+) -> tuple[float, float]:
+    """``calibrate_limit``'s L and the in-control ARL already solved there."""
     if not 1.0 < target_arl0 < math.inf:
         raise ValueError("target in-control ARL must be finite and exceed 1")
     if kind is ChartKind.SHEWHART:
-        return float(-ndtri(0.5 / target_arl0))
+        L = float(-ndtri(0.5 / target_arl0))
+        return L, shewhart_arl_exact(L, 0.0)
 
     # brentq re-evaluates the bracket ends and the residual check re-evaluates
     # its root, so each distinct L is solved once and remembered for this call.
@@ -147,24 +155,36 @@ def calibrate_limit(
             solved[L] = ewma_arl_markov(lam, L, 0.0, n_states)
         return solved[L] - target_arl0
 
-    # ARL grows monotonically (and eventually astronomically) in L; walk the
-    # bracket upper end outward until the gap turns positive, stopping at 10
-    # or where the Markov solve degenerates.
-    lo = 1e-3
-    if gap(lo) > 0:
-        raise NoBracket(
-            f"target in-control ARL {target_arl0} already exceeded at L={lo}"
-        )
-    hi = None
-    for cand in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0):
+    # ARL grows monotonically (and eventually astronomically) in L, and the
+    # limits of interest lie near 2. Start the bracket there: walk down to 1
+    # and then 1e-3 while the gap is >= 0, else walk the upper end up to 10
+    # until the gap turns >= 0, stopping where the Markov solve degenerates.
+    def reached(L: float) -> bool | None:
+        """gap(L) >= 0, or None where the Markov solve degenerates."""
         try:
-            g = gap(cand)
+            return gap(L) >= 0
         except SingularSystem:
-            break
-        if g >= 0:
-            hi = cand
-            break
-        lo = cand
+            return None
+
+    lo, hi = 2.0, None
+    start = reached(lo)
+    if start:
+        lo, hi = 1.0, 2.0
+        if gap(lo) >= 0:
+            lo, hi = 1e-3, 1.0
+            if gap(lo) > 0:
+                raise NoBracket(
+                    f"target in-control ARL {target_arl0} already exceeded at L={lo}"
+                )
+    elif start is False:
+        for cand in (3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0):
+            found = reached(cand)
+            if found is None:
+                break
+            if found:
+                hi = cand
+                break
+            lo = cand
     if hi is None:
         raise NoBracket(
             f"no L in (0, 10] reaches in-control ARL {target_arl0} at lam={lam}"
@@ -172,4 +192,4 @@ def calibrate_limit(
     L = float(brentq(gap, lo, hi, xtol=1e-7))
     if abs(gap(L)) >= 0.1:
         raise NoBracket(f"calibration residual too large at lam={lam}")
-    return L
+    return L, solved[L]

@@ -4,7 +4,14 @@ Drives a chart over scenario-generated subgroup streams until the first
 signal and aggregates run-length statistics over independent replications.
 Replication ``i`` of a study always uses the substream addressed by
 ``StreamKey(master_seed, i)``, so results are deterministic for a fixed
-master seed no matter how replications are sharded over threads.
+master seed no matter how replications are split into chunks or spread
+over worker processes.
+
+A study splits its replications into equal contiguous chunks of at most
+``_CHUNK`` rows. With more than one worker, the chunks run in a pool of
+processes forked for that call alone and shut down before it returns; the
+engine is bound by single-threaded C calls (Philox words, the ``ndtri``
+decode) that hold the GIL, so threads would only queue behind each other.
 
 The monitored party never learns of the shift: the chart statistic and
 limits always use the in-control parameters, while the data-generating
@@ -15,8 +22,9 @@ changepoint of 0 that is simply the first subgroup.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -49,6 +57,11 @@ _BLOCK_FIRST = 64
 _SLICE = 16
 _BLOCK_MAX = 1024
 _CHUNK = 4096
+# A pool costs about 20 ms to start, and each worker's first allocations
+# copy the parent's heap pages. On 2 vCPUs an EWMA study at ARL 200 took
+# 0.09 s serially and 0.15 s on two workers at 2,000 replications, against
+# 0.45 s and 0.27 s at 10,000.
+_MIN_REPS_PER_WORKER = 2_500
 _MAX_CENSORED_FRACTION = 0.001
 
 
@@ -76,10 +89,12 @@ class SimulationConfig:
     rl_cap: int = 10_000_000
 
     def __post_init__(self):
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
-        if self.rl_cap < 1:
-            raise ValueError("rl_cap must be >= 1")
+        for name in ("reps", "rl_cap"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
         check_u64("master_seed", self.master_seed)
 
 
@@ -174,31 +189,52 @@ def run_to_signal(config: SimulationConfig, key: StreamKey) -> int:
     return int(rl[0])
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _plan(reps: int, requested: int, cpus: int) -> tuple[int, int]:
+    """(worker count, chunk count) for ``reps`` replications.
+
+    Workers are capped by the request, the usable CPUs and
+    ``_MIN_REPS_PER_WORKER``; one worker means no pool. Chunks hold at most
+    ``_CHUNK`` rows each, and their count is a multiple of the worker count
+    so that every worker gets the same share.
+    """
+    workers = max(1, min(requested, cpus, reps // _MIN_REPS_PER_WORKER))
+    chunks = -(-reps // _CHUNK)
+    return workers, -(-chunks // workers) * workers
+
+
 def simulate_run_lengths(
     config: SimulationConfig, threads: int = 1
 ) -> np.ndarray:
     """Run lengths of replications 0..reps-1; deterministic for a master seed.
 
-    Threading only shards fixed-size chunks of replications; chunk content
-    and all arithmetic are independent of the thread count.
+    ``threads`` is the number of worker processes to use at most (see
+    ``_plan``). A replication's run length depends only on its key, so the
+    chunking and the worker count change no value. Where the platform
+    cannot fork, the chunks run in this process.
     """
-    chunks = [
-        np.arange(start, min(start + _CHUNK, config.reps), dtype=np.uint64)
-        for start in range(0, config.reps, _CHUNK)
-    ]
-    if threads <= 1 or len(chunks) == 1:
-        parts = [
-            _chunk_run_lengths(config, config.master_seed, c) for c in chunks
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(
-                    lambda c: _chunk_run_lengths(config, config.master_seed, c),
-                    chunks,
-                )
-            )
-    return np.concatenate(parts)
+    workers, n_chunks = _plan(config.reps, threads, usable_cpus())
+    chunks = np.array_split(np.arange(config.reps, dtype=np.uint64), n_chunks)
+    args = (repeat(config), repeat(config.master_seed), chunks)
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            # Not spawn: a spawned worker imports numpy and scipy afresh
+            # (about 0.6 s), longer than a whole 10,000-replication study.
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                return np.concatenate(list(pool.map(_chunk_run_lengths, *args)))
+    return np.concatenate(list(map(_chunk_run_lengths, *args)))
 
 
 def summarize_run_lengths(rl: np.ndarray, rl_cap: int) -> RunLengthSummary:

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from aibmon import cli, oracles
 from aibmon.cli import main
+from aibmon.runlength import usable_cpus
 
 
 def run(capsys, *argv):
@@ -223,6 +225,24 @@ def test_calibrate_ewma(capsys):
     assert achieved == pytest.approx(200.0, abs=0.1)
 
 
+def test_calibrate_solves_each_limit_once(capsys, monkeypatch):
+    # The printed achieved ARL is the one solved during calibration.
+    solved = []
+    markov = oracles.ewma_arl_markov
+
+    def counting(lam, L, s, n_states=401):
+        solved.append(L)
+        return markov(lam, L, s, n_states)
+
+    monkeypatch.setattr(oracles, "ewma_arl_markov", counting)
+    monkeypatch.setattr(cli, "ewma_arl_markov", counting)
+    code, stdout, _ = run(capsys, "calibrate", "--chart", "ewma",
+                          "--lambda", "0.1", "--target-arl0", "200")
+    assert code == 0
+    assert stdout == "L 2.454061 method markov achieved_arl0 200.000\n"
+    assert len(solved) == len(set(solved))
+
+
 def test_calibrate_rejects_unit_target(capsys):
     code, _, err = run(capsys, "calibrate", "--chart", "shewhart",
                        "--target-arl0", "1")
@@ -298,6 +318,14 @@ def test_threads_env_var_fallback(tmp_path, capsys, monkeypatch):
     assert main(argv + ["--out", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_threads_default_to_the_usable_cpus(monkeypatch):
+    monkeypatch.delenv("AIBMON_THREADS", raising=False)
+    assert cli._resolve_threads(None) == usable_cpus()
+    monkeypatch.setenv("AIBMON_THREADS", "1")
+    assert cli._resolve_threads(None) == 1
+    assert cli._resolve_threads(3) == 3
 
 
 # ------------------------------------------------------------------- help

@@ -273,6 +273,32 @@ def test_calibration_solves_each_limit_once(monkeypatch):
     calibrate_limit(ChartKind.EWMA, 0.1, 200.0)
     assert len(solved) > 5
     assert len(solved) == len(set(solved))
+    # The bracket walk starts at L = 2 and goes up: every limit of interest
+    # lies above 2, so L = 1e-3 and 1 are never solved.
+    assert solved[:2] == [2.0, 3.0]
+    assert min(solved) == 2.0
+
+
+@pytest.mark.parametrize(
+    "target, first",
+    [(1.001, [2.0, 1.0, 1e-3]), (1.5, [2.0, 1.0, 1e-3]), (5.0, [2.0, 1.0]), (50.0, [2.0, 3.0])],
+)
+def test_calibration_bracket_walks_down_from_two(monkeypatch, target, first):
+    solved = []
+
+    def counting(lam, L, s, n_states=401):
+        solved.append(L)
+        return ewma_arl_markov(lam, L, s, n_states)
+
+    monkeypatch.setattr(oracles, "ewma_arl_markov", counting)
+    L = calibrate_limit(ChartKind.EWMA, 0.5, target)
+    assert solved[: len(first)] == first
+    assert ewma_arl_markov(0.5, L, 0.0) == pytest.approx(target, abs=0.1)
+
+
+def test_calibration_reports_target_reached_below_smallest_limit():
+    with pytest.raises(NoBracket, match="already exceeded at L=0.001"):
+        calibrate_limit(ChartKind.EWMA, 0.5, 1.0000001)
 
 
 def test_calibration_round_trip_through_simulation():

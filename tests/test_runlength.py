@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -19,7 +21,11 @@ from aibmon import (
     trace,
 )
 from aibmon import estimators, runlength, sample_subgroup, shifted_means
-from aibmon.runlength import simulate_run_lengths, summarize_run_lengths
+from aibmon.runlength import (
+    simulate_run_lengths,
+    summarize_run_lengths,
+    usable_cpus,
+)
 from aibmon.stochastics import (
     SubgroupStream,
     SubstreamWords,
@@ -105,13 +111,53 @@ def test_detection_delay_after_changepoint():
 
 
 def test_run_lengths_independent_of_threading_and_chunking():
-    config = shewhart_config(rho=0.3, delta_x=0.5, reps=9000, seed=23)
+    # Requests above the usable CPUs are capped, so no more workers start.
+    config = shewhart_config(rho=0.3, delta_x=0.5, reps=9001, seed=23)
     serial = simulate_run_lengths(config, threads=1)
-    sharded = simulate_run_lengths(config, threads=4)
-    assert np.array_equal(serial, sharded)
+    for workers in (2, 3):
+        assert np.array_equal(simulate_run_lengths(config, threads=workers), serial)
+        assert multiprocessing.active_children() == []
     a = estimate_runlength(config, threads=1)
-    b = estimate_runlength(config, threads=4)
+    b = estimate_runlength(config, threads=3)
     assert a == b
+
+
+def _decode_fails(n, words):
+    raise RuntimeError(f"decode failed in process {os.getpid()}")
+
+
+@pytest.mark.skipif(usable_cpus() < 2, reason="a worker pool needs two usable CPUs")
+def test_worker_exception_reaches_the_caller(monkeypatch):
+    # Forked workers inherit the patched module global.
+    monkeypatch.setattr(runlength, "normals_from_words", _decode_fails)
+    with pytest.raises(RuntimeError, match="decode failed in process") as exc:
+        simulate_run_lengths(shewhart_config(reps=6000), threads=2)
+    assert int(str(exc.value).split()[-1]) != os.getpid()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize(
+    "reps, requested, cpus, workers, chunks",
+    [
+        (9001, 1, 2, 1, 3),
+        (9001, 2, 2, 2, 4),
+        (9001, 3, 2, 2, 4),
+        (9001, 3, 3, 3, 3),
+        (5000, 2, 2, 2, 2),
+        (4999, 2, 2, 1, 2),
+        (2000, 8, 8, 1, 1),
+        (50_000, 2, 2, 2, 14),
+        (50_000, 10**6, 64, 20, 20),
+        (50_000, 10**6, 10**6, 20, 20),
+        (1, 10**6, 10**6, 1, 1),
+        (10_000, 0, 2, 1, 3),
+    ],
+)
+def test_worker_and_chunk_plan(reps, requested, cpus, workers, chunks):
+    # Pure arithmetic: no process starts here.
+    assert runlength._plan(reps, requested, cpus) == (workers, chunks)
+    assert chunks % workers == 0
+    assert -(-reps // chunks) <= runlength._CHUNK
 
 
 @pytest.mark.parametrize(
@@ -255,6 +301,17 @@ def test_config_validation():
     for seed in (-1, 2**64):
         with pytest.raises(ValueError):
             SimulationConfig(model, ShiftScenario(), spec, reps=10, master_seed=seed)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("reps", True), ("rl_cap", True), ("reps", 2000.0), ("rl_cap", 1e7)]
+)
+def test_config_rejects_non_integer_counts(field, value):
+    # Caught here, not as a TypeError inside a worker process.
+    model = ProcessModel.standard(0.0)
+    spec = make_limits(ChartKind.SHEWHART, 1.0, 2.807, model)
+    with pytest.raises(ValueError, match=field):
+        SimulationConfig(model, ShiftScenario(), spec, **{field: value})
 
 
 # --------------------------------------------------------------------- trace
