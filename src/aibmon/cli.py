@@ -32,99 +32,57 @@ from .runlength import (
 )
 from .stochastics import ProcessModel, ShiftMode, ShiftScenario
 
-# Keys accepted in a --config JSON document (flat, mirroring the flags).
-_CONFIG_KEYS = {
-    "chart",
-    "lambda",
-    "L",
-    "target_arl0",
-    "rho",
-    "n",
-    "mu_y0",
-    "mu_x0",
-    "sigma_y",
-    "sigma_x",
-    "delta_y",
-    "delta_x",
-    "mode",
-    "changepoint",
-    "reps",
-    "seed",
-    "rl_cap",
-    "out",
-}
-
-# Config keys that hold strings; every other key holds a number.
-_STRING_KEYS = ("chart", "mode", "out")
-
-# Config keys that must hold whole numbers; 1e7 is accepted, 2.5 is not.
-_INTEGER_KEYS = ("n", "changepoint", "reps", "seed", "rl_cap")
-
-_SIMULATE_DEFAULTS = {
-    "lambda": 0.1,
-    "rho": 0.0,
-    "n": 1,
-    "mu_y0": 0.0,
-    "mu_x0": 0.0,
-    "sigma_y": 1.0,
-    "sigma_x": 1.0,
-    "delta_y": 0.0,
-    "delta_x": 0.0,
-    "mode": "independent",
-    "changepoint": 0,
-    "reps": 50_000,
-    "seed": 0,
-    "rl_cap": 10_000_000,
-    "out": None,
-}
-
 
 def _resolve_threads(value) -> int:
     """Worker processes: --threads, else AIBMON_THREADS, else the usable CPUs."""
+    source = "--threads"
     if value is None:
-        value = os.environ.get("AIBMON_THREADS") or usable_cpus()
-    threads = int(value)
+        value = os.environ.get("AIBMON_THREADS")
+        if not value:
+            return usable_cpus()
+        source = "AIBMON_THREADS, in place of --threads"
+    try:
+        threads = int(value)
+    except ValueError:
+        threads = 0  # reported below, like any count under 1
     if threads < 1:
-        raise ValueError(f"worker count (--threads) must be >= 1, got {threads}")
+        raise ValueError(
+            f"worker count ({source}) must be an integer >= 1, got {value!r}"
+        )
     return threads
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, sim: argparse.ArgumentParser) -> dict:
+    """Checked --config document as ``{dest: value}`` for ``sim.set_defaults``.
+
+    A key is a ``simulate`` flag's long name with ``_`` for ``-``. The flag's
+    type fixes the value's: none a string, float a number, int a whole
+    number (1e7 is accepted, 2.5 is not).
+    """
+    schema = {
+        action.option_strings[-1][2:].replace("-", "_"): action
+        for action in sim._actions
+        if action.dest not in ("help", "config", "threads")
+    }
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("config document must be a JSON object")
-    unknown = set(doc) - _CONFIG_KEYS
+    unknown = set(doc) - set(schema)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    defaults = {}
     for key, value in doc.items():
-        if key in _STRING_KEYS:
+        action = schema[key]
+        if action.type is None:
             if not isinstance(value, str):
                 raise ValueError(f"config key {key!r} must be a string, got {value!r}")
         elif isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"config key {key!r} must be a number, got {value!r}")
-        elif key in _INTEGER_KEYS:
-            if not (isinstance(value, int) or value.is_integer()):
-                raise ValueError(
-                    f"config key {key!r} must be an integer, got {value!r}"
-                )
-            doc[key] = int(value)
-    return doc
-
-
-def _merged(args: argparse.Namespace, keys) -> dict:
-    """Flag value if given, else config-file value, else hard default."""
-    doc = _load_config(args.config) if args.config else {}
-    merged = {}
-    for key in keys:
-        flag = getattr(args, key.replace("lambda", "lam"), None)
-        if flag is not None:
-            merged[key] = flag
-        elif key in doc:
-            merged[key] = doc[key]
-        else:
-            merged[key] = _SIMULATE_DEFAULTS.get(key)
-    return merged
+        elif action.type is int and not (isinstance(value, int) or value.is_integer()):
+            raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
+        defaults[action.dest] = value if action.type is None else action.type(value)
+    return defaults
 
 
 def _summary_csv_lines(s: RunLengthSummary) -> list[str]:
@@ -155,41 +113,28 @@ def _write_lines(path: Path, lines: list[str]) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _merged(args, _CONFIG_KEYS)
-    if cfg["chart"] is None:
+    if args.chart is None:
         raise ValueError("--chart is required (shewhart or ewma)")
-    kind = ChartKind(cfg["chart"])
-    if cfg["L"] is not None and cfg["target_arl0"] is not None:
+    kind = ChartKind(args.chart)
+    if args.L is not None and args.target_arl0 is not None:
         raise ValueError("give --L or --target-arl0, not both")
-    if cfg["L"] is None and cfg["target_arl0"] is None:
+    if args.L is None and args.target_arl0 is None:
         raise ValueError("one of --L or --target-arl0 is required")
-    lam = 1.0 if kind is ChartKind.SHEWHART else float(cfg["lambda"])
-    limit = (
-        float(cfg["L"])
-        if cfg["L"] is not None
-        else calibrate_limit(kind, lam, float(cfg["target_arl0"]))
-    )
-    model = ProcessModel(
-        mu_y0=float(cfg["mu_y0"]),
-        mu_x0=float(cfg["mu_x0"]),
-        sigma_y=float(cfg["sigma_y"]),
-        sigma_x=float(cfg["sigma_x"]),
-        rho=float(cfg["rho"]),
-        n=int(cfg["n"]),
-    )
-    scenario = ShiftScenario(
-        delta_y=float(cfg["delta_y"]),
-        delta_x=float(cfg["delta_x"]),
-        mode=ShiftMode(cfg["mode"]),
-        changepoint=int(cfg["changepoint"]),
-    )
+    lam = 1.0 if kind is ChartKind.SHEWHART else args.lam
+    limit = args.L
+    if limit is None:
+        limit = calibrate_limit(kind, lam, args.target_arl0)
+    model = ProcessModel(mu_y0=args.mu_y0, mu_x0=args.mu_x0, sigma_y=args.sigma_y,
+                         sigma_x=args.sigma_x, rho=args.rho, n=args.n)
+    scenario = ShiftScenario(delta_y=args.delta_y, delta_x=args.delta_x,
+                             mode=ShiftMode(args.mode), changepoint=args.changepoint)
     config = SimulationConfig(
         model=model,
         scenario=scenario,
         spec=make_limits(kind, lam, limit, model),
-        reps=int(cfg["reps"]),
-        master_seed=int(cfg["seed"]),
-        rl_cap=int(cfg["rl_cap"]),
+        reps=args.reps,
+        master_seed=args.seed,
+        rl_cap=args.rl_cap,
     )
     summary = estimate_runlength(config, threads=_resolve_threads(args.threads))
     print(
@@ -197,8 +142,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         f"(sdrl {summary.sdrl:.4f}, reps {summary.reps}, "
         f"censored {summary.censored})"
     )
-    if cfg["out"]:
-        out = Path(cfg["out"])
+    if args.out:
+        out = Path(args.out)
         if out.suffix in (".json", ".jsonl"):
             _write_lines(out, [_summary_json_line(summary)])
         else:
@@ -273,7 +218,14 @@ def cmd_profile_equiv(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _add_threads(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--threads", type=int, default=None,
+                        help="worker processes (env AIBMON_THREADS; default "
+                             "the usable CPUs; results do not depend on this)")
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The ``aibmon`` parser and its ``simulate`` subparser."""
     parser = argparse.ArgumentParser(
         prog="aibmon",
         description=(
@@ -287,6 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser(
         "simulate",
         help="estimate the ARL of one chart/scenario by Monte Carlo",
+        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
         description=(
             "Monte Carlo run-length study of one chart under one shift "
             "scenario. Shifts --delta-y/--delta-x are standardized (units "
@@ -296,38 +249,34 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sim.add_argument("--config", help="JSON config file; flags override it")
-    sim.add_argument("--chart", choices=["shewhart", "ewma"], default=None)
-    sim.add_argument("--lambda", dest="lam", type=float, default=None,
-                     help="EWMA smoothing in (0,1] (default 0.1)")
-    sim.add_argument("--L", type=float, default=None,
+    sim.add_argument("--chart", choices=["shewhart", "ewma"])
+    sim.add_argument("--lambda", dest="lam", type=float, default=0.1,
+                     help="EWMA smoothing in (0,1]")
+    sim.add_argument("--L", type=float,
                      help="limit multiplier; alternative to --target-arl0")
-    sim.add_argument("--target-arl0", type=float, default=None,
+    sim.add_argument("--target-arl0", type=float,
                      help="calibrate L for this in-control ARL (e.g. 200)")
-    sim.add_argument("--rho", type=float, default=None,
-                     help="correlation between Y and X (default 0)")
-    sim.add_argument("--n", type=int, default=None,
-                     help="subgroup size (default 1)")
-    sim.add_argument("--mu-y0", dest="mu_y0", type=float, default=None)
-    sim.add_argument("--mu-x0", dest="mu_x0", type=float, default=None)
-    sim.add_argument("--sigma-y", dest="sigma_y", type=float, default=None)
-    sim.add_argument("--sigma-x", dest="sigma_x", type=float, default=None)
-    sim.add_argument("--delta-y", dest="delta_y", type=float, default=None,
-                     help="standardized Y shift (default 0)")
-    sim.add_argument("--delta-x", dest="delta_x", type=float, default=None,
-                     help="standardized X shift, independent mode (default 0)")
-    sim.add_argument("--mode", choices=["independent", "masking"], default=None)
-    sim.add_argument("--changepoint", type=int, default=None,
-                     help="in-control subgroups before the shift (default 0)")
-    sim.add_argument("--reps", type=int, default=None,
-                     help="replications (default 50,000)")
-    sim.add_argument("--rl-cap", dest="rl_cap", type=int, default=None)
-    sim.add_argument("--seed", type=int, default=None,
+    sim.add_argument("--rho", type=float, default=0.0,
+                     help="correlation between Y and X")
+    sim.add_argument("--n", type=int, default=1, help="subgroup size")
+    sim.add_argument("--mu-y0", type=float, default=0.0, help="in-control mean of Y")
+    sim.add_argument("--mu-x0", type=float, default=0.0, help="in-control mean of X")
+    sim.add_argument("--sigma-y", type=float, default=1.0, help="std. dev. of Y")
+    sim.add_argument("--sigma-x", type=float, default=1.0, help="std. dev. of X")
+    sim.add_argument("--delta-y", type=float, default=0.0, help="standardized Y shift")
+    sim.add_argument("--delta-x", type=float, default=0.0,
+                     help="standardized X shift, independent mode")
+    sim.add_argument("--mode", choices=["independent", "masking"],
+                     default="independent", help="how the shift is applied")
+    sim.add_argument("--changepoint", type=int, default=0,
+                     help="in-control subgroups before the shift")
+    sim.add_argument("--reps", type=int, default=50_000, help="replications")
+    sim.add_argument("--rl-cap", type=int, default=10_000_000,
+                     help="run-length cap per replication")
+    sim.add_argument("--seed", type=int, default=0,
                      help="master seed; all randomness flows from it")
-    sim.add_argument("--out", default=None,
-                     help="write the summary (.csv, or .json/.jsonl)")
-    sim.add_argument("--threads", type=int, default=None,
-                     help="worker processes (env AIBMON_THREADS; default "
-                          "the usable CPUs; results do not depend on this)")
+    sim.add_argument("--out", help="write the summary (.csv, or .json/.jsonl)")
+    _add_threads(sim)
     sim.set_defaults(func=cmd_simulate)
 
     cal = sub.add_parser(
@@ -352,14 +301,13 @@ def _build_parser() -> argparse.ArgumentParser:
             "table1.csv with the reference values alongside."
         ),
     )
-    tab.add_argument("--reps", type=int, default=50_000,
-                     help="replications per cell (default 50,000)")
+    tab.add_argument("--reps", type=int, default=50_000, help="replications per cell")
     tab.add_argument("--seed", type=int, default=0)
     tab.add_argument("--out", default="table1.csv")
     tab.add_argument("--check", action="store_true",
                      help="exit 1 if any cell is outside "
                           "max(5%% relative, 3 SE) of the reference")
-    tab.add_argument("--threads", type=int, default=None)
+    _add_threads(tab)
     tab.set_defaults(func=cmd_table1)
 
     mask = sub.add_parser(
@@ -378,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="replications for the counterfactual ARL")
     mask.add_argument("--seed", type=int, default=0)
     mask.add_argument("--out-dir", dest="out_dir", default=".")
-    mask.add_argument("--threads", type=int, default=None)
+    _add_threads(mask)
     mask.set_defaults(func=cmd_mask_demo)
 
     prof = sub.add_parser(
@@ -390,12 +338,17 @@ def _build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--seed", type=int, default=0)
     prof.set_defaults(func=cmd_profile_equiv)
 
-    return parser
+    return parser, sim
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser, sim = _build_parser()
+    args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            # Config values become defaults, so the flags given still win.
+            sim.set_defaults(**_load_config(args.config, sim))
+            args = parser.parse_args(argv)
         return args.func(args)
     except ExcessCensoring as exc:
         print(f"error: {exc}", file=sys.stderr)

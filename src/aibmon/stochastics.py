@@ -214,21 +214,12 @@ def _seed_pool(master_seed: int) -> tuple[int, ...]:
 def _state_words(pool, spawn_words) -> list:
     """The four 32-bit output words after mixing the spawn words into the pool.
 
-    Works elementwise on Python ints or uint32 arrays of spawn words.
+    Works elementwise on uint32 arrays of spawn words.
     """
     consts = iter(_MIX_CONSTS[_POOL_SIZE * _POOL_SIZE :])
     for word in spawn_words:
         pool = [_mix(p, _hashmix(word, next(consts))) for p in pool]
     return [_hashmix(p, c) for p, c in zip(pool, _OUT_CONSTS)]
-
-
-def substream_key(master_seed: int, index: int) -> list[int]:
-    """Philox key of replication ``index``: one row of ``substream_keys``."""
-    check_u64("master_seed", master_seed)
-    check_u64("replication_index", index)
-    spawn_words = [index & _MASK32] + ([index >> 32] if index > _MASK32 else [])
-    w = _state_words(_seed_pool(master_seed), spawn_words)
-    return [w[0] | (w[1] << 32), w[2] | (w[3] << 32)]
 
 
 def substream_keys(master_seed: int, indices) -> np.ndarray:
@@ -359,7 +350,7 @@ class SubgroupStream:
             raise ValueError("start_index must be >= 0")
         self.n = n
         self._words = SubstreamWords(
-            n, [substream_key(key.master_seed, key.replication_index)]
+            n, substream_keys(key.master_seed, [key.replication_index])
         )
         self.next_index = start_index
 

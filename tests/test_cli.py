@@ -195,11 +195,68 @@ def test_config_accepts_integral_floats(tmp_path, capsys):
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
+    # --threads and --config are flags only: neither is a config key.
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"chart": "shewhart", "L": 2.807, "repz": 10}))
-    code, _, err = run(capsys, "simulate", "--config", str(cfg))
-    assert code == 2
-    assert "repz" in err
+    for key in ("repz", "threads", "config"):
+        cfg.write_text(json.dumps({"chart": "shewhart", "L": 2.807, key: 10}))
+        code, _, err = run(capsys, "simulate", "--config", str(cfg))
+        assert code == 2
+        assert err == f"error: unknown config keys: ['{key}']\n"
+
+
+# Every simulate flag with a non-default value, keyed as in a config file.
+_KEY_VALUES = [
+    ("chart", "shewhart"), ("lambda", 0.25), ("L", 2.7), ("target_arl0", 100.0),
+    ("rho", 0.25), ("n", 3), ("mu_y0", 1.5), ("mu_x0", -2.0), ("sigma_y", 2.0),
+    ("sigma_x", 0.5), ("delta_y", 0.75), ("delta_x", 1.0), ("mode", "masking"),
+    ("changepoint", 5), ("reps", 250), ("seed", 9), ("rl_cap", 5000),
+    ("out", "from_key.csv"),
+]
+
+
+def test_key_values_cover_every_config_key():
+    _, sim = cli._build_parser()
+    flags = {a.option_strings[-1] for a in sim._actions} - {"--help", "--config",
+                                                           "--threads"}
+    assert {"--" + key.replace("_", "-") for key, _ in _KEY_VALUES} == flags
+
+
+@pytest.mark.parametrize("key, value", _KEY_VALUES)
+def test_every_config_key_drives_the_same_run_as_its_flag(
+    tmp_path, capsys, monkeypatch, key, value
+):
+    monkeypatch.chdir(tmp_path)
+    base = {"chart": "ewma", "lambda": 0.2, "L": 2.6, "rho": 0.5, "delta_y": 1.0,
+            "reps": 200, "seed": 3}
+    base.pop(key, None)
+    if key == "target_arl0":
+        base.pop("L")
+    base_flags = [f"--{k.replace('_', '-')}={v}" for k, v in base.items()]
+    (tmp_path / "run.json").write_text(json.dumps({key: value}))
+    # The study itself is compared too: mu_y0 and sigma_x leave the
+    # standardized statistic, and so the output bytes, unchanged.
+    studies = []
+    estimate = cli.estimate_runlength
+
+    def spy(config, threads=1):
+        studies.append(config)
+        return estimate(config, threads=threads)
+
+    monkeypatch.setattr(cli, "estimate_runlength", spy)
+
+    def summary(*argv):
+        path = tmp_path / (value if key == "out" else "summary.csv")
+        out = [] if key == "out" else ["--out", str(path)]
+        assert main(["simulate", *base_flags, *argv, *out]) == 0
+        data = path.read_bytes()
+        path.unlink()
+        return data
+
+    from_config = summary("--config", "run.json")
+    from_flag = summary(f"--{key.replace('_', '-')}={value}")
+    capsys.readouterr()
+    assert from_config == from_flag
+    assert studies[0] == studies[1]
 
 
 # ----------------------------------------------------------------- calibrate
@@ -350,7 +407,8 @@ def test_simulate_help_documents_units_and_defaults(capsys):
     assert "200" in out
 
 
-@pytest.mark.parametrize("flag, env", [("0", None), ("-3", None), (None, "-2"), (None, "0")])
+@pytest.mark.parametrize("flag, env", [("0", None), ("-3", None), (None, "-2"), (None, "0"),
+                                       (None, "abc"), (None, " ")])
 def test_threads_below_one_rejected(capsys, monkeypatch, flag, env):
     argv = ["simulate", "--chart", "shewhart", "--L", "2.807", "--reps", "50"]
     if flag is not None:
@@ -363,3 +421,5 @@ def test_threads_below_one_rejected(capsys, monkeypatch, flag, env):
     assert code == 2
     assert stdout == ""
     assert "thread" in err
+    if env is not None:
+        assert "AIBMON_THREADS" in err and repr(env) in err

@@ -18,7 +18,6 @@ from aibmon import (
 from aibmon.stochastics import (
     SubgroupStream,
     SubstreamWords,
-    substream_key,
     substream_keys,
     words_per_subgroup,
 )
@@ -96,15 +95,12 @@ def test_substream_keys_equal_numpy_seed_sequence(master_seed, indices):
             master_seed, spawn_key=(index,)
         ).generate_state(2, np.uint64)
         assert np.array_equal(key, expected)
-        assert substream_key(master_seed, index) == expected.tolist()
 
 
 def test_substream_keys_reject_out_of_range_seed():
     for seed in (-1, 2**64):
         with pytest.raises(ValueError):
             substream_keys(seed, [0])
-        with pytest.raises(ValueError):
-            substream_key(seed, 0)
 
 
 @pytest.mark.parametrize("n", [1, 3, 5])
