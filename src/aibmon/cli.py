@@ -81,7 +81,10 @@ def _load_config(path: str, sim: argparse.ArgumentParser) -> dict:
             raise ValueError(f"config key {key!r} must be a number, got {value!r}")
         elif action.type is int and not (isinstance(value, int) or value.is_integer()):
             raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
-        defaults[action.dest] = value if action.type is None else action.type(value)
+        try:
+            defaults[action.dest] = value if action.type is None else action.type(value)
+        except OverflowError:
+            raise ValueError(f"config key {key!r} is too large for a float") from None
     return defaults
 
 

@@ -8,10 +8,12 @@ master seed no matter how replications are split into chunks or spread
 over worker processes.
 
 A study splits its replications into equal contiguous chunks of at most
-``_CHUNK`` rows. With more than one worker, the chunks run in a pool of
-processes forked for that call alone and shut down before it returns; the
-engine is bound by single-threaded C calls (Philox words, the ``ndtri``
-decode) that hold the GIL, so threads would only queue behind each other.
+``_CHUNK`` rows. With more than one worker, each worker is a child process
+forked for that call alone: it runs one contiguous share of the chunks,
+writes its run lengths to a pipe and exits, and the caller reaps every
+child before it returns. The engine is bound by single-threaded C calls
+(Philox words, the ``ndtri`` decode) that hold the GIL, so threads would
+only queue behind each other.
 
 The monitored party never learns of the shift: the chart statistic and
 limits always use the in-control parameters, while the data-generating
@@ -23,8 +25,11 @@ changepoint of 0 that is simply the first subgroup.
 from __future__ import annotations
 
 import os
+import pickle
+import traceback
 from dataclasses import dataclass
-from itertools import repeat
+from signal import SIGKILL
+from typing import NoReturn
 
 import numpy as np
 
@@ -57,11 +62,15 @@ _BLOCK_FIRST = 64
 _SLICE = 16
 _BLOCK_MAX = 1024
 _CHUNK = 4096
-# A pool costs about 20 ms to start, and each worker's first allocations
-# copy the parent's heap pages. On 2 vCPUs an EWMA study at ARL 200 took
-# 0.09 s serially and 0.15 s on two workers at 2,000 replications, against
-# 0.45 s and 0.27 s at 10,000.
-_MIN_REPS_PER_WORKER = 2_500
+# A child costs about 3 ms to fork, and its first allocations copy the
+# parent's heap pages (about 2,700 page faults, 10-15 ms). Serial against
+# two children on 2 vCPUs, medians of 9 alternating calls, at 2,000 and
+# 4,000 replications: in-control EWMA (ARL 200) 78 -> 70 and 161 -> 124 ms;
+# Shewhart at ARL 200 87 -> 77 and 132 -> 113 ms; Shewhart at ARL 21
+# 14 -> 24 and 31 -> 43 ms; EWMA at ARL 7 11 -> 20 and 30 -> 38 ms. So a
+# second child pays from 2,000 replications at ARL 200 but not below 4,000
+# at ARL 21 or less, and 1,000 replications split in two lose at every ARL.
+_MIN_REPS_PER_WORKER = 1_000
 _MAX_CENSORED_FRACTION = 0.001
 
 
@@ -95,6 +104,15 @@ class SimulationConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ValueError(f"{name} must be >= 1")
+        # Run lengths, and the changepoint they are counted from, are int64.
+        int64_max = int(np.iinfo(np.int64).max)
+        if self.rl_cap > int64_max:
+            raise ValueError(f"rl_cap must be <= {int64_max}, got {self.rl_cap}")
+        if self.scenario.changepoint + self.rl_cap > int64_max:
+            raise ValueError(
+                f"changepoint + rl_cap must be <= {int64_max}, got "
+                f"{self.scenario.changepoint} + {self.rl_cap}"
+            )
         check_u64("master_seed", self.master_seed)
 
 
@@ -201,7 +219,7 @@ def _plan(reps: int, requested: int, cpus: int) -> tuple[int, int]:
     """(worker count, chunk count) for ``reps`` replications.
 
     Workers are capped by the request, the usable CPUs and
-    ``_MIN_REPS_PER_WORKER``; one worker means no pool. Chunks hold at most
+    ``_MIN_REPS_PER_WORKER``; one worker means no child. Chunks hold at most
     ``_CHUNK`` rows each, and their count is a multiple of the worker count
     so that every worker gets the same share.
     """
@@ -222,19 +240,109 @@ def simulate_run_lengths(
     """
     workers, n_chunks = _plan(config.reps, threads, usable_cpus())
     chunks = np.array_split(np.arange(config.reps, dtype=np.uint64), n_chunks)
-    args = (repeat(config), repeat(config.master_seed), chunks)
-    if workers > 1:
-        import multiprocessing
+    if workers > 1 and hasattr(os, "fork"):
+        per = n_chunks // workers
+        shares = [chunks[k * per : (k + 1) * per] for k in range(workers)]
+        return _run_forked(config, shares)
+    return _run_share(config, chunks)
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
 
-            # Not spawn: a spawned worker imports numpy and scipy afresh
-            # (about 0.6 s), longer than a whole 10,000-replication study.
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                return np.concatenate(list(pool.map(_chunk_run_lengths, *args)))
-    return np.concatenate(list(map(_chunk_run_lengths, *args)))
+def _run_share(config: SimulationConfig, chunks: list[np.ndarray]) -> np.ndarray:
+    """Run lengths of ``chunks``, one after another, in this process."""
+    return np.concatenate(
+        [_chunk_run_lengths(config, config.master_seed, c) for c in chunks]
+    )
+
+
+def _run_forked(
+    config: SimulationConfig, shares: list[list[np.ndarray]]
+) -> np.ndarray:
+    """Run lengths of the shares in order, one forked child per share.
+
+    Not spawn: a spawned worker imports numpy and scipy afresh (about
+    0.6 s), longer than a whole 10,000-replication study. The caller only
+    waits. A child's exception is raised here; whatever way this function
+    leaves, no child is left running or unreaped and no pipe end open.
+    """
+    running: list[int] = []
+    fds: list[int] = []
+    try:
+        for share in shares:
+            read_fd, write_fd = os.pipe()
+            fds.append(read_fd)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(config, share, write_fd, fds)
+            finally:
+                # Closed before the next fork, or no read would see EOF.
+                os.close(write_fd)
+            running.append(pid)
+        results = []
+        for pid, fd in zip(running[:], fds):
+            data = _read_all(fd)
+            status = os.waitpid(pid, 0)[1]
+            running.remove(pid)
+            if os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0:
+                results.append(np.frombuffer(data, dtype=np.int64))
+            elif os.WIFEXITED(status) and os.WEXITSTATUS(status) == 1 and data:
+                exc, text = pickle.loads(data)
+                raise exc from RuntimeError(f"in worker process {pid}:\n{text}")
+            else:
+                raise RuntimeError(f"worker process {pid} failed, wait status {status}")
+        return np.concatenate(results)
+    finally:
+        for pid in running:
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
+
+
+def _child(
+    config: SimulationConfig, share: list[np.ndarray], fd: int, read_fds: list[int]
+) -> NoReturn:
+    """Body of a forked worker; it never returns.
+
+    Writes the share's int64 run lengths to ``fd`` and exits 0, or writes
+    the pickled (exception, traceback text) and exits 1. It first closes
+    the read ends it inherited, so that if the caller dies its write fails
+    instead of blocking forever.
+    """
+    code = 2
+    try:
+        for read_fd in read_fds:
+            os.close(read_fd)
+        try:
+            payload, ok = _run_share(config, share).tobytes(), True
+        except BaseException as exc:
+            payload, ok = _pickled_failure(exc), False
+        with open(fd, "wb") as pipe:
+            pipe.write(payload)
+        code = 0 if ok else 1
+    finally:
+        os._exit(code)
+
+
+def _pickled_failure(exc: BaseException) -> bytes:
+    """``exc`` and its traceback text, or a RuntimeError if ``exc`` won't pickle."""
+    text = traceback.format_exc()
+    try:
+        payload = pickle.dumps((exc, text))
+        pickle.loads(payload)
+    except Exception:
+        substitute = RuntimeError(
+            f"worker process {os.getpid()} raised {type(exc).__name__}, "
+            "which cannot be pickled"
+        )
+        payload = pickle.dumps((substitute, text))
+    return payload
+
+
+def _read_all(fd: int) -> bytes:
+    """Everything written to the pipe ``fd`` until its last writer exits."""
+    with open(fd, "rb", closefd=False) as pipe:
+        return pipe.read()
 
 
 def summarize_run_lengths(rl: np.ndarray, rl_cap: int) -> RunLengthSummary:

@@ -186,6 +186,26 @@ def test_config_rejects_values_of_the_wrong_type(tmp_path, capsys, key, value):
     assert key in err
 
 
+def test_config_rejects_integer_too_large_for_a_float(tmp_path, capsys):
+    # json.load accepts it; float() of it raises OverflowError.
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"chart": "shewhart", "reps": 10, "L": 1' + "0" * 400 + "}")
+    code, _, err = run(capsys, "simulate", "--config", str(cfg))
+    assert code == 2
+    assert err == "error: config key 'L' is too large for a float\n"
+
+
+@pytest.mark.parametrize(
+    "flags", [["--rl-cap", "20000000000000000000"], ["--changepoint", "20000000000000000000"],
+              ["--rl-cap", str(2**63)], ["--changepoint", str(2**63 - 10**7)]]
+)
+def test_simulate_rejects_counts_beyond_int64(capsys, flags):
+    code, out, err = run(capsys, "simulate", "--chart", "shewhart", "--L", "2.807",
+                         "--reps", "10", "--threads", "1", *flags)
+    assert code == 2 and out == ""
+    assert "rl_cap must be <= 9223372036854775807" in err
+
+
 def test_config_accepts_integral_floats(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"chart": "shewhart", "L": 2.807, "reps": 500.0,

@@ -1,6 +1,7 @@
 import math
-import multiprocessing
 import os
+import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -110,30 +111,105 @@ def test_detection_delay_after_changepoint():
     assert 2.9 < delay < 3.7
 
 
+def _open_fds():
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+@contextmanager
+def no_child_or_fd_left():
+    """Asserts, at the OS level, that the block leaves no child and no fd."""
+    before = _open_fds()
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == before
+
+
 def test_run_lengths_independent_of_threading_and_chunking():
     # Requests above the usable CPUs are capped, so no more workers start.
     config = shewhart_config(rho=0.3, delta_x=0.5, reps=9001, seed=23)
     serial = simulate_run_lengths(config, threads=1)
     for workers in (2, 3):
-        assert np.array_equal(simulate_run_lengths(config, threads=workers), serial)
-        assert multiprocessing.active_children() == []
+        with no_child_or_fd_left():
+            assert np.array_equal(simulate_run_lengths(config, threads=workers), serial)
     a = estimate_runlength(config, threads=1)
     b = estimate_runlength(config, threads=3)
     assert a == b
+
+
+@pytest.mark.parametrize("reps", [1999, 2000, 2001])
+def test_run_lengths_independent_of_workers_at_the_floor(reps):
+    # 1999 replications run serially, 2000 and 2001 on two children (one
+    # per _MIN_REPS_PER_WORKER); the split changes no byte.
+    config = shewhart_config(rho=0.5, delta_x=0.5, reps=reps, seed=29)
+    serial = simulate_run_lengths(config, threads=1)
+    assert serial.dtype == np.int64 and serial.shape == (reps,)
+    for workers in (2, 3):
+        with no_child_or_fd_left():
+            rl = simulate_run_lengths(config, threads=workers)
+        assert rl.dtype == np.int64 and rl.tobytes() == serial.tobytes()
 
 
 def _decode_fails(n, words):
     raise RuntimeError(f"decode failed in process {os.getpid()}")
 
 
-@pytest.mark.skipif(usable_cpus() < 2, reason="a worker pool needs two usable CPUs")
+@pytest.mark.skipif(usable_cpus() < 2, reason="two workers need two usable CPUs")
 def test_worker_exception_reaches_the_caller(monkeypatch):
     # Forked workers inherit the patched module global.
     monkeypatch.setattr(runlength, "normals_from_words", _decode_fails)
-    with pytest.raises(RuntimeError, match="decode failed in process") as exc:
-        simulate_run_lengths(shewhart_config(reps=6000), threads=2)
+    with no_child_or_fd_left():
+        with pytest.raises(RuntimeError, match="decode failed in process") as exc:
+            simulate_run_lengths(shewhart_config(reps=6000), threads=2)
     assert int(str(exc.value).split()[-1]) != os.getpid()
-    assert multiprocessing.active_children() == []
+    # The worker's traceback rides along as the cause.
+    assert "_decode_fails" in str(exc.value.__cause__)
+
+
+def _first_share_fails_second_hangs(config, master_seed, rep_indices):
+    if rep_indices[0] == 0:
+        raise ValueError(f"first share failed in process {os.getpid()}")
+    time.sleep(600)
+
+
+@pytest.mark.skipif(usable_cpus() < 2, reason="two workers need two usable CPUs")
+def test_failing_worker_has_its_running_sibling_killed(monkeypatch):
+    monkeypatch.setattr(runlength, "_chunk_run_lengths", _first_share_fails_second_hangs)
+    start = time.monotonic()
+    with no_child_or_fd_left():
+        with pytest.raises(ValueError, match="first share failed in process"):
+            simulate_run_lengths(shewhart_config(reps=2000), threads=2)
+    assert time.monotonic() - start < 60
+
+
+class _Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("not picklable")
+
+
+def _raise_unpicklable(config, master_seed, rep_indices):
+    raise _Unpicklable("local state")
+
+
+@pytest.mark.skipif(usable_cpus() < 2, reason="two workers need two usable CPUs")
+def test_unpicklable_worker_exception_becomes_runtime_error(monkeypatch):
+    monkeypatch.setattr(runlength, "_chunk_run_lengths", _raise_unpicklable)
+    with no_child_or_fd_left():
+        with pytest.raises(RuntimeError, match=r"worker process \d+ raised _Unpicklable"):
+            simulate_run_lengths(shewhart_config(reps=2000), threads=2)
+
+
+@pytest.mark.skipif(usable_cpus() < 2, reason="two workers need two usable CPUs")
+def test_caller_interrupted_while_reading_kills_and_reaps_workers(monkeypatch):
+    monkeypatch.setattr(runlength, "_chunk_run_lengths", _first_share_fails_second_hangs)
+
+    def interrupted(fd):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(runlength, "_read_all", interrupted)
+    with no_child_or_fd_left():
+        with pytest.raises(KeyboardInterrupt):
+            simulate_run_lengths(shewhart_config(reps=2000), threads=2)
 
 
 @pytest.mark.parametrize(
@@ -144,11 +220,15 @@ def test_worker_exception_reaches_the_caller(monkeypatch):
         (9001, 3, 2, 2, 4),
         (9001, 3, 3, 3, 3),
         (5000, 2, 2, 2, 2),
-        (4999, 2, 2, 1, 2),
-        (2000, 8, 8, 1, 1),
+        (4999, 2, 2, 2, 2),
+        (1999, 2, 2, 1, 1),
+        (2000, 2, 2, 2, 2),
+        (2000, 8, 8, 2, 2),
+        (2999, 8, 8, 2, 2),
+        (3000, 8, 8, 3, 3),
         (50_000, 2, 2, 2, 14),
-        (50_000, 10**6, 64, 20, 20),
-        (50_000, 10**6, 10**6, 20, 20),
+        (50_000, 10**6, 64, 50, 50),
+        (50_000, 10**6, 10**6, 50, 50),
         (1, 10**6, 10**6, 1, 1),
         (10_000, 0, 2, 1, 3),
     ],
@@ -301,6 +381,26 @@ def test_config_validation():
     for seed in (-1, 2**64):
         with pytest.raises(ValueError):
             SimulationConfig(model, ShiftScenario(), spec, reps=10, master_seed=seed)
+
+
+@pytest.mark.parametrize(
+    "changepoint, rl_cap, message",
+    [(0, 2**63, "rl_cap"), (0, 2 * 10**19, "rl_cap"), (2 * 10**19, 10**7, "changepoint"),
+     (2**63 - 1, 1, "changepoint"), (2**62, 2**62, "changepoint")],
+)
+def test_config_rejects_counts_beyond_int64(changepoint, rl_cap, message):
+    # Run lengths are int64: caught here, before any work starts.
+    model = ProcessModel.standard(0.0)
+    spec = make_limits(ChartKind.SHEWHART, 1.0, 2.807, model)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        SimulationConfig(model, ShiftScenario(changepoint=changepoint), spec, rl_cap=rl_cap)
+
+
+def test_config_accepts_counts_at_the_int64_limit():
+    model = ProcessModel.standard(0.0)
+    spec = make_limits(ChartKind.SHEWHART, 1.0, 2.807, model)
+    SimulationConfig(model, ShiftScenario(), spec, rl_cap=2**63 - 1)
+    SimulationConfig(model, ShiftScenario(changepoint=2**63 - 2), spec, rl_cap=1)
 
 
 @pytest.mark.parametrize(
