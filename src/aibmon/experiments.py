@@ -187,7 +187,8 @@ def masking_demo(
     The emitted path shows the chart under a Y shift of ``delta_y`` whose
     coupled X shift cancels it (typically: no signals at all). The
     counterfactual run-length study answers how fast the same chart would
-    have caught the identical Y shift had X stayed in control.
+    have caught the identical Y shift had X stayed in control. The trace
+    must reach the shift: ``changepoint < n_subgroups``.
     """
     model = ProcessModel.standard(rho)
     spec = make_limits(ChartKind.EWMA, lam, limit_multiplier, model)
@@ -199,6 +200,11 @@ def masking_demo(
         spec=spec,
         master_seed=master_seed,
     )
+    if changepoint >= n_subgroups:
+        raise ValueError(
+            f"changepoint must be below n_subgroups, got {changepoint} >= "
+            f"{n_subgroups}: the trace would end before the shift"
+        )
     points = trace(masked, StreamKey(master_seed, 0), n_subgroups)
     counterfactual = SimulationConfig(
         model=model,

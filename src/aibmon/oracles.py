@@ -8,6 +8,17 @@ Carlo noise by orders of magnitude: the normal CDF/quantile used here is
 accurate to double precision, and the Markov approximation error is
 O(n_states^-2).
 
+Limit calibration finds its root with ``_brent``, a statement-by-statement
+port of scipy's C ``brentq`` (``scipy/optimize/Zeros/brentq.c``, BSD-3;
+R. P. Brent, *Algorithms for Minimization without Derivatives*, 1973). It
+evaluates the function at the same points in the same order, so the
+calibrated limits are bit-identical to ``scipy.optimize.brentq``'s. The
+port exists for start-up time and memory: importing ``scipy.optimize``
+loads ``scipy.linalg`` and scipy's own OpenBLAS, about a third of a fresh
+``import aibmon.cli`` and 23 MB of resident memory, for a single call that
+``simulate --L``, ``table1`` and ``mask-demo`` never make. scipy is used
+through ``scipy.special`` only.
+
 Everything works on the standardized scale: the plotted statistic minus
 the chart center, divided by its in-control standard deviation
 sqrt(1 - rho^2) * sigma_y / sqrt(n), is a unit normal with mean ``s``.
@@ -16,9 +27,10 @@ sqrt(1 - rho^2) * sigma_y / sqrt(n), is a unit normal with mean ``s``.
 from __future__ import annotations
 
 import math
+import sys
+from collections.abc import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 from .charts import ChartKind
@@ -146,7 +158,7 @@ def _calibrate(
         L = float(-ndtri(0.5 / target_arl0))
         return L, shewhart_arl_exact(L, 0.0)
 
-    # brentq re-evaluates the bracket ends and the residual check re-evaluates
+    # _brent re-evaluates the bracket ends and the residual check re-evaluates
     # its root, so each distinct L is solved once and remembered for this call.
     solved: dict[float, float] = {}
 
@@ -189,7 +201,80 @@ def _calibrate(
         raise NoBracket(
             f"no L in (0, 10] reaches in-control ARL {target_arl0} at lam={lam}"
         )
-    L = float(brentq(gap, lo, hi, xtol=1e-7))
+    L = _brent(gap, lo, hi, xtol=1e-7)
     if abs(gap(L)) >= 0.1:
         raise NoBracket(f"calibration residual too large at lam={lam}")
     return L, solved[L]
+
+
+def _brent(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    xtol: float,
+    maxiter: int = 100,
+) -> float:
+    """Root of ``f`` in [a, b], as ``scipy.optimize.brentq(f, a, b, xtol)``.
+
+    Brent's method: inverse quadratic interpolation (secant when only two
+    points are known), falling back to bisection whenever the step would
+    not shrink fast enough. Converged once half the bracket is below
+    delta = (xtol + rtol * |x|) / 2, with brentq's rtol = 4 eps. Raises
+    ``ValueError`` when f(a) and f(b) have the same sign and
+    ``RuntimeError`` after ``maxiter`` iterations. ``f`` must not return
+    NaN.
+    """
+    rtol = 4 * sys.float_info.epsilon
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre = f(xpre)
+    fcur = f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (
+            math.copysign(1.0, fpre) != math.copysign(1.0, fcur)
+        ):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (
+                        dblk * dpre * (fblk - fpre)
+                    )
+            except ZeroDivisionError:  # inf or NaN in C: the test below bisects
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(
+        f"Failed to converge after {maxiter} iterations, value is {xcur:f}"
+    )

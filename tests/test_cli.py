@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -362,6 +366,18 @@ def test_mask_demo_writes_csvs(tmp_path, capsys):
     assert "counterfactual ARL" in stdout
 
 
+def test_mask_demo_rejects_trace_ending_before_the_shift(tmp_path, capsys):
+    code, stdout, err = run(
+        capsys,
+        "mask-demo", "--rho", "0.5", "--delta-y", "1", "--changepoint", "300",
+        "--n-subgroups", "10", "--out-dir", str(tmp_path),
+    )
+    assert code == 2
+    assert stdout == ""
+    assert "changepoint must be below n_subgroups, got 300 >= 10" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_mask_demo_rejects_zero_rho(capsys):
     code, _, err = run(capsys, "mask-demo", "--rho", "0", "--delta-y", "2",
                        "--reps", "100")
@@ -443,3 +459,28 @@ def test_threads_below_one_rejected(capsys, monkeypatch, flag, env):
     assert "thread" in err
     if env is not None:
         assert "AIBMON_THREADS" in err and repr(env) in err
+
+
+# ---------------------------------------------------------------- imports
+
+
+def test_cli_never_loads_scipy_optimize():
+    # A fresh interpreter, because this test process has imported
+    # scipy.optimize itself (the Brent parity tests use it as reference).
+    # A calibration runs too, so a deferred import would also be caught.
+    code = (
+        "import json, sys, aibmon.cli\n"
+        "heavy = lambda: [m for m in ('scipy.optimize', 'scipy.linalg')"
+        " if m in sys.modules]\n"
+        "loaded = heavy()\n"
+        "assert aibmon.cli.main(['calibrate', '--chart', 'ewma', '--lambda',"
+        " '0.1', '--target-arl0', '200']) == 0\n"
+        "print(json.dumps([loaded, heavy()]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "L 2.454061 method markov achieved_arl0 200.000"
+    assert json.loads(lines[1]) == [[], []]

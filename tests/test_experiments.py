@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from aibmon import experiments
 from aibmon import (
     ChartKind,
     MismatchedSlope,
@@ -98,6 +99,29 @@ def test_masking_demo_hides_a_large_shift():
     # After the changepoint the generated Y means drift upward.
     post = [p.y_bar for p in demo.points[25:]]
     assert np.mean(post) > 1.0
+
+
+def test_masking_demo_rejects_trace_ending_before_the_shift(monkeypatch):
+    def no_study(*args, **kwargs):
+        raise AssertionError("counterfactual study ran")
+
+    monkeypatch.setattr(experiments, "estimate_runlength", no_study)
+    for changepoint in (10, 300):
+        with pytest.raises(ValueError, match="changepoint must be below n_subgroups"):
+            masking_demo(
+                rho=0.5, delta_y=1.0, lam=0.1, limit_multiplier=2.454,
+                n_subgroups=10, changepoint=changepoint,
+            )
+
+
+def test_masking_demo_trace_reaches_a_shift_at_its_last_subgroup():
+    demo = masking_demo(
+        rho=0.5, delta_y=1.0, lam=0.1, limit_multiplier=2.454,
+        n_subgroups=10, changepoint=9, counterfactual_reps=2000,
+    )
+    assert [p.t for p in demo.points] == list(range(1, 11))
+    assert demo.points[-1].regime == "out-of-control"
+    assert all(p.regime == "in-control" for p in demo.points[:-1])
 
 
 def test_masking_demo_is_shift_size_independent():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from aibmon import oracles
@@ -342,3 +343,112 @@ def test_calibration_rejects_non_finite_target(kind, lam, target):
 def test_calibration_reports_unreachable_target():
     with pytest.raises(NoBracket):
         calibrate_limit(ChartKind.EWMA, 0.5, 1e12)
+
+
+# ---------------------------------------------- Brent solver against brentq
+#
+# scipy.optimize.brentq is the reference here only: oracles._brent ports it
+# so that importing aibmon never loads scipy.optimize. The port must call f
+# at the same points in the same order and return the same float.
+
+
+def solve_both(g, a, b, **kwargs):
+    """(outcome, points f was called at) for brentq and for _brent.
+
+    The outcome is the root, or the type of the exception raised.
+    """
+    results = []
+    for solver in (brentq, oracles._brent):
+        points = []
+
+        def f(x):
+            points.append(x)
+            return g(x)
+
+        try:
+            outcome = solver(f, a, b, **kwargs)
+        except (ValueError, RuntimeError) as exc:
+            outcome = type(exc)
+        results.append((outcome, points))
+    return results
+
+
+@st.composite
+def bracketed(draw):
+    """A function with one root strictly inside [a, b], and a and b."""
+    kind = draw(st.sampled_from(["cubic", "offset", "exp"]))
+    width = st.floats(0.01, 5.0)
+    if kind == "exp":  # exp(k L^2) - target, the shape of ARL(L) - target
+        k = draw(st.floats(0.1, 2.0))
+        target = draw(st.floats(1.001, 1e4))
+        root = math.sqrt(math.log(target) / k)
+        a = root * draw(st.floats(0.05, 0.99))
+        b = root * (1.0 + draw(st.floats(0.01, 1.0)))
+        return (lambda x: math.exp(k * x * x) - target), a, b
+    root = draw(st.floats(-5.0, 5.0))
+    a, b = root - draw(width), root + draw(width)
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    if kind == "offset":
+        return (lambda x: sign * (x - root)), a, b
+    c3 = draw(st.just(0.0) | st.floats(0.01, 3.0))  # monotone
+    c1 = draw(st.floats(0.01, 3.0))
+    return (lambda x: sign * (c3 * (x - root) ** 3 + c1 * (x - root))), a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=bracketed(), xtol=st.sampled_from([1e-7, 2e-12]), swap=st.booleans())
+def test_brent_calls_and_returns_as_brentq(case, xtol, swap):
+    g, a, b = case
+    if swap:
+        a, b = b, a
+    (want, want_points), (got, got_points) = solve_both(g, a, b, xtol=xtol)
+    assert got_points == want_points
+    assert repr(got) == repr(want)
+    assert isinstance(got, float)
+
+
+def test_brent_bisects_where_the_extrapolation_divides_by_zero():
+    # f values near the subnormal range underflow the extrapolation's
+    # denominator to 0; C divides to inf and bisects, as must the port.
+    def g(x):
+        return 2.640599794060481e-304 * (x - 0.515908805880605) ** 3
+
+    (want, want_points), (got, got_points) = solve_both(
+        g, 0.38486051512008007, 3.4126488161027373, xtol=1e-7
+    )
+    assert got_points == want_points
+    assert repr(got) == repr(want) == "0.5159086157324483"
+
+
+@pytest.mark.parametrize("a, b", [(1.5, 3.0), (0.0, 1.5)])
+def test_brent_returns_an_exact_zero_at_an_end_at_once(a, b):
+    results = solve_both(lambda x: x - 1.5, a, b, xtol=1e-7)
+    assert results[0] == results[1] == (1.5, [a, b])
+
+
+@pytest.mark.parametrize("g", [lambda x: x * x + 1.0, lambda x: -x * x - 1.0])
+def test_brent_rejects_a_bracket_without_sign_change_as_brentq(g):
+    (want, want_points), (got, got_points) = solve_both(g, -1.0, 1.0, xtol=1e-7)
+    assert got is want is ValueError
+    assert got_points == want_points == [-1.0, 1.0]
+
+
+@pytest.mark.parametrize("maxiter", [0, 1, 3])
+def test_brent_gives_up_after_maxiter_as_brentq(maxiter):
+    (want, want_points), (got, got_points) = solve_both(
+        lambda x: x**3 - 2.0, 0.0, 4.0, xtol=1e-12, maxiter=maxiter
+    )
+    assert got is want is RuntimeError
+    assert got_points == want_points
+    assert len(got_points) == 2 + maxiter
+
+
+@pytest.mark.parametrize("lam", [0.01, 0.1, 0.5, 1.0])
+@pytest.mark.parametrize("target", [1.5, 5.0, 200.0, 1e4])
+def test_calibration_matches_brentq_bit_for_bit(monkeypatch, lam, target):
+    # At lam = 0.5, targets 1.5 and 5 walk the bracket down from L = 2.
+    ours = oracles._calibrate(ChartKind.EWMA, lam, target)
+    monkeypatch.setattr(
+        oracles, "_brent", lambda f, a, b, xtol: brentq(f, a, b, xtol=xtol)
+    )
+    assert repr(oracles._calibrate(ChartKind.EWMA, lam, target)) == repr(ours)
