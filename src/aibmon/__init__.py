@@ -55,7 +55,6 @@ from .runlength import (
     SimulationConfig,
     TracePoint,
     estimate_runlength,
-    run_to_signal,
     trace,
 )
 from .stochastics import (
@@ -115,7 +114,6 @@ __all__ = [
     "ratio_preferred",
     "regression_estimate",
     "reproduce_table1",
-    "run_to_signal",
     "sample_subgroup",
     "shewhart_arl_exact",
     "shifted_means",

@@ -205,7 +205,7 @@ def masking_demo(
             f"changepoint must be below n_subgroups, got {changepoint} >= "
             f"{n_subgroups}: the trace would end before the shift"
         )
-    points = trace(masked, StreamKey(master_seed, 0), n_subgroups)
+    points = trace(masked, 0, n_subgroups)
     counterfactual = SimulationConfig(
         model=model,
         scenario=ShiftScenario(delta_y=delta_y, delta_x=0.0),

@@ -133,24 +133,17 @@ def ewma_arl_markov(lam: float, L: float, s: float, n_states: int = 401) -> floa
     return arl
 
 
-def calibrate_limit(
-    kind: ChartKind,
-    lam: float,
-    target_arl0: float,
-    n_states: int = 401,
-) -> float:
+def calibrate_limit(kind: ChartKind, lam: float, target_arl0: float) -> float:
     """Limit multiplier whose in-control ARL equals ``target_arl0``.
 
     Shewhart is analytic: L = Phi^-1(1 - 1 / (2 * target)). EWMA brackets
-    the Markov-chain ARL in L and solves by Brent's method to |ARL -
-    target| < 0.1.
+    the 401-state Markov-chain ARL in L and solves by Brent's method to
+    |ARL - target| < 0.1.
     """
-    return _calibrate(kind, lam, target_arl0, n_states)[0]
+    return _calibrate(kind, lam, target_arl0)[0]
 
 
-def _calibrate(
-    kind: ChartKind, lam: float, target_arl0: float, n_states: int = 401
-) -> tuple[float, float]:
+def _calibrate(kind: ChartKind, lam: float, target_arl0: float) -> tuple[float, float]:
     """``calibrate_limit``'s L and the in-control ARL already solved there."""
     if not 1.0 < target_arl0 < math.inf:
         raise ValueError("target in-control ARL must be finite and exceed 1")
@@ -164,7 +157,7 @@ def _calibrate(
 
     def gap(L: float) -> float:
         if L not in solved:
-            solved[L] = ewma_arl_markov(lam, L, 0.0, n_states)
+            solved[L] = ewma_arl_markov(lam, L, 0.0)
         return solved[L] - target_arl0
 
     # ARL grows monotonically (and eventually astronomically) in L, and the

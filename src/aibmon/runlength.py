@@ -7,13 +7,13 @@ Replication ``i`` of a study always uses the substream addressed by
 master seed no matter how replications are split into chunks or spread
 over worker processes.
 
-A study splits its replications into equal contiguous chunks of at most
-``_CHUNK`` rows. With more than one worker, each worker is a child process
-forked for that call alone: it runs one contiguous share of the chunks,
-writes its run lengths to a pipe and exits, and the caller reaps every
-child before it returns. The engine is bound by single-threaded C calls
-(Philox words, the ``ndtri`` decode) that hold the GIL, so threads would
-only queue behind each other.
+A study splits its replications into one contiguous share per worker, and
+each share into equal chunks of at most ``_CHUNK`` rows that run one after
+another. With more than one worker, each worker is a child process forked
+for that call alone: it runs its share, writes its run lengths to a pipe
+and exits, and the caller reaps every child before it returns. The engine
+is bound by single-threaded C calls (Philox words, the ``ndtri`` decode)
+that hold the GIL, so threads would only queue behind each other.
 
 The monitored party never learns of the shift: the chart statistic and
 limits always use the in-control parameters, while the data-generating
@@ -113,6 +113,12 @@ class SimulationConfig:
                 f"changepoint + rl_cap must be <= {int64_max}, got "
                 f"{self.scenario.changepoint} + {self.rl_cap}"
             )
+        # Bounds the in-control subgroups each replication draws first.
+        if self.scenario.changepoint > self.rl_cap:
+            raise ValueError(
+                f"changepoint must be <= rl_cap, got {self.scenario.changepoint} "
+                f"> {self.rl_cap}"
+            )
         check_u64("master_seed", self.master_seed)
 
 
@@ -147,11 +153,7 @@ def _subgroup_statistics(
     return xbar, ybar, z
 
 
-def _chunk_run_lengths(
-    config: SimulationConfig,
-    master_seed: int,
-    rep_indices: np.ndarray,
-) -> np.ndarray:
+def _chunk_run_lengths(config: SimulationConfig, rep_indices: np.ndarray) -> np.ndarray:
     """Run lengths for a batch of replications, vectorized across the batch.
 
     Each replication consumes its own substream block by block; a block is
@@ -162,7 +164,7 @@ def _chunk_run_lengths(
     """
     model, scenario, spec = config.model, config.scenario, config.spec
     changepoint = scenario.changepoint
-    source = SubstreamWords(model.n, substream_keys(master_seed, rep_indices))
+    source = SubstreamWords(model.n, substream_keys(config.master_seed, rep_indices))
     total = len(rep_indices)
     rl = np.zeros(total, dtype=np.int64)
     w = np.full(total, spec.center, dtype=np.float64)
@@ -195,18 +197,6 @@ def _chunk_run_lengths(
     return rl
 
 
-def run_to_signal(config: SimulationConfig, key: StreamKey) -> int:
-    """Run length of the single replication addressed by ``key``.
-
-    Returns the 1-based index, counted from the first post-changepoint
-    subgroup, of the first signal after the changepoint; a run that reaches
-    the cap without signaling returns the cap (censored).
-    """
-    index = np.array([key.replication_index], dtype=np.uint64)
-    rl = _chunk_run_lengths(config, key.master_seed, index)
-    return int(rl[0])
-
-
 def usable_cpus() -> int:
     """CPUs this process may run on (its affinity mask where the OS has one)."""
     try:
@@ -215,17 +205,13 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _plan(reps: int, requested: int, cpus: int) -> tuple[int, int]:
-    """(worker count, chunk count) for ``reps`` replications.
+def _plan(reps: int, requested: int, cpus: int) -> int:
+    """Worker count for ``reps`` replications.
 
     Workers are capped by the request, the usable CPUs and
-    ``_MIN_REPS_PER_WORKER``; one worker means no child. Chunks hold at most
-    ``_CHUNK`` rows each, and their count is a multiple of the worker count
-    so that every worker gets the same share.
+    ``_MIN_REPS_PER_WORKER``; one worker means no child.
     """
-    workers = max(1, min(requested, cpus, reps // _MIN_REPS_PER_WORKER))
-    chunks = -(-reps // _CHUNK)
-    return workers, -(-chunks // workers) * workers
+    return max(1, min(requested, cpus, reps // _MIN_REPS_PER_WORKER))
 
 
 def simulate_run_lengths(
@@ -234,29 +220,24 @@ def simulate_run_lengths(
     """Run lengths of replications 0..reps-1; deterministic for a master seed.
 
     ``threads`` is the number of worker processes to use at most (see
-    ``_plan``). A replication's run length depends only on its key, so the
-    chunking and the worker count change no value. Where the platform
-    cannot fork, the chunks run in this process.
+    ``_plan``), each running one contiguous share in chunks (``_run_share``).
+    A replication's run length depends only on its key, so shares and chunks
+    change no value. Where the platform cannot fork, one share runs here.
     """
-    workers, n_chunks = _plan(config.reps, threads, usable_cpus())
-    chunks = np.array_split(np.arange(config.reps, dtype=np.uint64), n_chunks)
+    indices = np.arange(config.reps, dtype=np.uint64)
+    workers = _plan(config.reps, threads, usable_cpus())
     if workers > 1 and hasattr(os, "fork"):
-        per = n_chunks // workers
-        shares = [chunks[k * per : (k + 1) * per] for k in range(workers)]
-        return _run_forked(config, shares)
-    return _run_share(config, chunks)
+        return _run_forked(config, np.array_split(indices, workers))
+    return _run_share(config, indices)
 
 
-def _run_share(config: SimulationConfig, chunks: list[np.ndarray]) -> np.ndarray:
-    """Run lengths of ``chunks``, one after another, in this process."""
-    return np.concatenate(
-        [_chunk_run_lengths(config, config.master_seed, c) for c in chunks]
-    )
+def _run_share(config: SimulationConfig, share: np.ndarray) -> np.ndarray:
+    """Run lengths of ``share``, in equal chunks of at most ``_CHUNK`` rows."""
+    chunks = np.array_split(share, -(-share.size // _CHUNK))
+    return np.concatenate([_chunk_run_lengths(config, c) for c in chunks])
 
 
-def _run_forked(
-    config: SimulationConfig, shares: list[list[np.ndarray]]
-) -> np.ndarray:
+def _run_forked(config: SimulationConfig, shares: list[np.ndarray]) -> np.ndarray:
     """Run lengths of the shares in order, one forked child per share.
 
     Not spawn: a spawned worker imports numpy and scipy afresh (about
@@ -300,7 +281,7 @@ def _run_forked(
 
 
 def _child(
-    config: SimulationConfig, share: list[np.ndarray], fd: int, read_fds: list[int]
+    config: SimulationConfig, share: np.ndarray, fd: int, read_fds: list[int]
 ) -> NoReturn:
     """Body of a forked worker; it never returns.
 
@@ -387,9 +368,10 @@ class TracePoint:
 
 
 def trace(
-    config: SimulationConfig, key: StreamKey, n_subgroups: int
+    config: SimulationConfig, replication: int, n_subgroups: int
 ) -> list[TracePoint]:
-    """Full chart path over ``n_subgroups`` subgroups, not stopping at signals."""
+    """Chart path over ``n_subgroups`` subgroups, not stopping at signals, of
+    the replication the engine keys ``StreamKey(master_seed, replication)``."""
     if n_subgroups < 1:
         raise ValueError("n_subgroups must be >= 1")
     model, scenario, spec = config.model, config.scenario, config.spec
@@ -399,6 +381,7 @@ def trace(
         if (mu_y1, mu_x1) != (model.mu_y0, model.mu_x0)
         else "in-control"
     )
+    key = StreamKey(config.master_seed, replication)
     words = SubgroupStream(model.n, key).take_words(n_subgroups)
     xbar, ybar, z = _subgroup_statistics(model, scenario, words[None], 0)
     path, signal = charts.ewma_path(spec, z, spec.center)

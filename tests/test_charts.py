@@ -150,7 +150,7 @@ def test_initial_state_sits_at_center():
     model = ProcessModel(mu_y0=5.0, mu_x0=-1.0, sigma_y=1.0, sigma_x=1.0, rho=0.3)
     spec = make_limits(ChartKind.EWMA, 0.1, 2.454, model)
     config = SimulationConfig(model, ShiftScenario(), spec, reps=1, master_seed=2)
-    (p,) = trace(config, StreamKey(2, 0), 1)
+    (p,) = trace(config, 0, 1)
     assert p.w == spec.lam * p.z + (1 - spec.lam) * 5.0
 
 

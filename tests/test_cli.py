@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from aibmon import cli, oracles
+from aibmon import cli, oracles, runlength
 from aibmon.cli import main
 from aibmon.runlength import usable_cpus
 
@@ -208,6 +208,19 @@ def test_simulate_rejects_counts_beyond_int64(capsys, flags):
                          "--reps", "10", "--threads", "1", *flags)
     assert code == 2 and out == ""
     assert "rl_cap must be <= 9223372036854775807" in err
+
+
+def _engine_must_not_start(config, rep_indices):
+    raise AssertionError("the engine started")
+
+
+def test_simulate_rejects_changepoint_beyond_rl_cap(capsys, monkeypatch):
+    # Rejected up front, not after 10**12 in-control subgroups per replication.
+    monkeypatch.setattr(runlength, "_chunk_run_lengths", _engine_must_not_start)
+    code, out, err = run(capsys, "simulate", "--chart", "shewhart", "--L", "2.807",
+                         "--reps", "10", "--threads", "1", "--changepoint", str(10**12))
+    assert code == 2 and out == ""
+    assert err == f"error: changepoint must be <= rl_cap, got {10**12} > 10000000\n"
 
 
 def test_config_accepts_integral_floats(tmp_path, capsys):

@@ -22,7 +22,6 @@ from aibmon import (
     ShiftMode,
     ShiftScenario,
     SimulationConfig,
-    StreamKey,
     make_limits,
     trace,
 )
@@ -107,7 +106,7 @@ def run_length_digest(config):
 
 def trace_digest(config):
     # json writes floats by repr, which round-trips every bit.
-    points = trace(config, StreamKey(config.master_seed, 3), 150)
+    points = trace(config, 3, 150)
     doc = json.dumps([dataclasses.astuple(p) for p in points])
     return hashlib.sha256(doc.encode()).hexdigest()
 

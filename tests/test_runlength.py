@@ -17,7 +17,6 @@ from aibmon import (
     StreamKey,
     estimate_runlength,
     make_limits,
-    run_to_signal,
     shewhart_arl_exact,
     trace,
 )
@@ -166,7 +165,7 @@ def test_worker_exception_reaches_the_caller(monkeypatch):
     assert "_decode_fails" in str(exc.value.__cause__)
 
 
-def _first_share_fails_second_hangs(config, master_seed, rep_indices):
+def _first_share_fails_second_hangs(config, rep_indices):
     if rep_indices[0] == 0:
         raise ValueError(f"first share failed in process {os.getpid()}")
     time.sleep(600)
@@ -187,7 +186,7 @@ class _Unpicklable(Exception):
         raise TypeError("not picklable")
 
 
-def _raise_unpicklable(config, master_seed, rep_indices):
+def _raise_unpicklable(config, rep_indices):
     raise _Unpicklable("local state")
 
 
@@ -234,10 +233,29 @@ def test_caller_interrupted_while_reading_kills_and_reaps_workers(monkeypatch):
     ],
 )
 def test_worker_and_chunk_plan(reps, requested, cpus, workers, chunks):
-    # Pure arithmetic: no process starts here.
-    assert runlength._plan(reps, requested, cpus) == (workers, chunks)
-    assert chunks % workers == 0
-    assert -(-reps // chunks) <= runlength._CHUNK
+    # Pure arithmetic: no process starts here. ``chunks`` counts the chunks of
+    # at most _CHUNK rows that the workers cut from their shares.
+    assert runlength._plan(reps, requested, cpus) == workers
+    shares = np.array_split(np.arange(reps), workers)
+    assert sum(-(-share.size // runlength._CHUNK) for share in shares) == chunks
+
+
+def test_share_runs_in_chunks_of_at_most_chunk_rows(monkeypatch):
+    config = shewhart_config(rho=0.5, delta_x=1.0, reps=9001, seed=13)
+    serial = simulate_run_lengths(config, threads=1)
+    calls = []
+    chunk_run_lengths = runlength._chunk_run_lengths
+
+    def spy(config, rep_indices):
+        calls.append(rep_indices)
+        return chunk_run_lengths(config, rep_indices)
+
+    monkeypatch.setattr(runlength, "_chunk_run_lengths", spy)
+    rl = runlength._run_share(config, np.arange(9001, dtype=np.uint64))
+    assert [c.size for c in calls] == [3001, 3000, 3000]
+    assert all(c.size <= runlength._CHUNK for c in calls)
+    assert np.array_equal(np.concatenate(calls), np.arange(9001))
+    assert rl.tobytes() == serial.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -290,15 +308,8 @@ def test_decode_leaves_the_callers_words_unchanged(monkeypatch):
 
     monkeypatch.setattr(SubgroupStream, "take_words", spy)
     spec = make_limits(ChartKind.EWMA, 0.2, 2.636, model)
-    trace(SimulationConfig(model, scenario, spec), StreamKey(5, 1), 40)
+    trace(SimulationConfig(model, scenario, spec, master_seed=5), 1, 40)
     assert handed_out and all(np.array_equal(a, b) for a, b in handed_out)
-
-
-def test_run_to_signal_matches_batched_engine():
-    config = shewhart_config(rho=0.5, delta_x=1.0, reps=200, seed=31)
-    rl = simulate_run_lengths(config)
-    for r in (0, 1, 57, 199):
-        assert run_to_signal(config, StreamKey(31, r)) == rl[r]
 
 
 def scalar_walk(config, key, n_subgroups):
@@ -324,15 +335,15 @@ def test_run_to_signal_matches_scalar_chart_walk():
     model = ProcessModel(0.2, -0.4, 1.1, 0.9, rho=0.55, n=3)
     scenario = ShiftScenario(delta_y=0.8, delta_x=0.2, changepoint=4)
     spec = make_limits(ChartKind.EWMA, 0.2, 2.636, model)
-    config = SimulationConfig(model, scenario, spec, reps=1, master_seed=41)
+    config = SimulationConfig(model, scenario, spec, reps=6, master_seed=41)
+    rl = simulate_run_lengths(config)
     for rep in range(6):
-        key = StreamKey(41, rep)
         walked = next(
             t - scenario.changepoint
-            for t, *_, sig in scalar_walk(config, key, 20_000)
+            for t, *_, sig in scalar_walk(config, StreamKey(41, rep), 20_000)
             if sig and t > scenario.changepoint
         )
-        assert walked == run_to_signal(config, key)
+        assert walked == rl[rep]
 
 
 def test_pre_changepoint_signals_are_not_counted():
@@ -400,7 +411,18 @@ def test_config_accepts_counts_at_the_int64_limit():
     model = ProcessModel.standard(0.0)
     spec = make_limits(ChartKind.SHEWHART, 1.0, 2.807, model)
     SimulationConfig(model, ShiftScenario(), spec, rl_cap=2**63 - 1)
-    SimulationConfig(model, ShiftScenario(changepoint=2**63 - 2), spec, rl_cap=1)
+    half = (2**63 - 1) // 2
+    SimulationConfig(model, ShiftScenario(changepoint=half), spec, rl_cap=half)
+
+
+def test_config_rejects_changepoint_beyond_rl_cap():
+    # Each replication draws its in-control subgroups before any run length
+    # counts, so the changepoint is bounded like the run length itself.
+    model = ProcessModel.standard(0.0)
+    spec = make_limits(ChartKind.SHEWHART, 1.0, 2.807, model)
+    SimulationConfig(model, ShiftScenario(changepoint=50), spec, rl_cap=50)
+    with pytest.raises(ValueError, match="^changepoint must be <= rl_cap, got 51 > 50$"):
+        SimulationConfig(model, ShiftScenario(changepoint=51), spec, rl_cap=50)
 
 
 @pytest.mark.parametrize(
@@ -421,11 +443,10 @@ def test_trace_single_in_control_subgroup():
     model = ProcessModel.standard(0.5)
     spec = make_limits(ChartKind.EWMA, 0.1, 2.454, model)
     config = SimulationConfig(model, ShiftScenario(), spec, reps=1, master_seed=5)
-    key = StreamKey(5, 0)
-    points = trace(config, key, 1)
+    points = trace(config, 0, 1)
     assert len(points) == 1
     p = points[0]
-    sample = sample_subgroup(model, 0.0, 0.0, key, 0)
+    sample = sample_subgroup(model, 0.0, 0.0, StreamKey(5, 0), 0)
     z1 = estimators.difference_estimate(estimators.moments(sample), model)
     assert p.t == 1
     assert p.z == z1
@@ -443,7 +464,7 @@ def test_trace_regime_labels_and_limits():
         reps=1,
         master_seed=5,
     )
-    points = trace(config, StreamKey(5, 0), 60)
+    points = trace(config, 0, 60)
     assert [p.regime for p in points[:25]] == ["in-control"] * 25
     assert all(p.regime == "out-of-control" for p in points[25:])
     assert all(p.lcl == spec.lcl and p.ucl == spec.ucl for p in points)
@@ -454,7 +475,7 @@ def test_trace_does_not_stop_at_signals():
     model = ProcessModel.standard(0.0)
     spec = ChartSpec(ChartKind.SHEWHART, 1.0, 2.807, center=0.0, half_width=0.0)
     config = SimulationConfig(model, ShiftScenario(), spec, reps=1, master_seed=9)
-    points = trace(config, StreamKey(9, 0), 30)
+    points = trace(config, 0, 30)
     assert len(points) == 30
     assert all(p.signal for p in points)
 
@@ -463,11 +484,10 @@ def test_trace_matches_run_to_signal():
     model = ProcessModel.standard(0.25)
     spec = make_limits(ChartKind.EWMA, 0.2, 2.636, model)
     config = SimulationConfig(
-        model, ShiftScenario(delta_y=1.0), spec, reps=1, master_seed=29
+        model, ShiftScenario(delta_y=1.0), spec, reps=5, master_seed=29
     )
-    key = StreamKey(29, 4)
-    rl = run_to_signal(config, key)
-    points = trace(config, key, rl + 10)
+    rl = int(simulate_run_lengths(config)[4])
+    points = trace(config, 4, rl + 10)
     first_signal = next(p.t for p in points if p.signal)
     assert first_signal == rl
     # zero changepoint with a real shift: shifted regime from the start
@@ -481,10 +501,9 @@ def test_trace_matches_scalar_walk_point_by_point():
     scenario = ShiftScenario(delta_y=1.5, mode=ShiftMode.MASKING, changepoint=70)
     spec = make_limits(ChartKind.EWMA, 0.2, 1.2, model)
     config = SimulationConfig(model, scenario, spec, reps=1, master_seed=2**40 + 1)
-    key = StreamKey(2**40 + 1, 3)
-    points = trace(config, key, 200)
+    points = trace(config, 3, 200)
     assert len(points) == 200
-    reference = list(scalar_walk(config, key, 200))
+    reference = list(scalar_walk(config, StreamKey(2**40 + 1, 3), 200))
     assert any(sig for *_, sig in reference) and not all(sig for *_, sig in reference)
     for p, (t, x_bar, y_bar, z, w, sig) in zip(points, reference):
         assert (p.t, p.x_bar, p.y_bar, p.z, p.w, p.signal) == (t, x_bar, y_bar, z, w, sig)
