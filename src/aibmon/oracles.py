@@ -17,7 +17,8 @@ port exists for start-up time and memory: importing ``scipy.optimize``
 loads ``scipy.linalg`` and scipy's own OpenBLAS, about a third of a fresh
 ``import aibmon.cli`` and 23 MB of resident memory, for a single call that
 ``simulate --L``, ``table1`` and ``mask-demo`` never make. scipy is used
-through ``scipy.special`` only.
+for its ``ndtr`` and ``ndtri`` ufuncs only, which ``stochastics`` loads
+from ``scipy.special``'s compiled extension without the package's init.
 
 Everything works on the standardized scale: the plotted statistic minus
 the chart center, divided by its in-control standard deviation
@@ -31,11 +32,10 @@ import sys
 from collections.abc import Callable
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .charts import ChartKind
 from .errors import InvalidLambda, NoBracket, SingularSystem
-from .stochastics import ProcessModel, ShiftMode, ShiftScenario
+from .stochastics import ProcessModel, ShiftMode, ShiftScenario, ndtr, ndtri
 
 
 def standardized_shift(model: ProcessModel, scenario: ShiftScenario) -> float:

@@ -32,18 +32,64 @@ so the conditional-mean slope of Y on X is beta = rho * sigma_y / sigma_x.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
+import types
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+import scipy
 from numpy.random import Philox
-from scipy.special import ndtri
 
 from .errors import MaskingWithZeroCorrelation
 
 _U64_MAX = 2**64
 _UNIFORM_SCALE = 2.0**-53
+
+
+def _normal_ufuncs():
+    """scipy's ``ndtr`` and ``ndtri`` ufuncs, without ``scipy.special``'s init.
+
+    The package init imports scipy's array-API layer (``numpy.f2py``,
+    ``unittest``, ``email``, ...), half of a fresh ``import aibmon.cli``, for
+    two ufuncs of its compiled ``_ufuncs`` extension. So that extension is
+    loaded by file path, under a placeholder ``scipy.special`` through which
+    it imports its sibling extensions; the placeholder leaves ``sys.modules``
+    before this returns. A later ``import scipy.special`` runs the real
+    package, which reuses the loaded extensions: the objects are the
+    package's own either way. The file layout is scipy's private one, so a
+    missing file, a failed load or a missing name falls back to the package.
+    """
+    if "scipy.special" not in sys.modules:
+        directory = os.path.join(os.path.dirname(scipy.__file__), "special")
+        paths = [os.path.join(directory, "_ufuncs" + suffix)
+                 for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+        path = next((p for p in paths if os.path.isfile(p)), None)
+        if path is not None:
+            name = "scipy.special._ufuncs"
+            placeholder = types.ModuleType("scipy.special")
+            placeholder.__path__ = [directory]
+            sys.modules["scipy.special"] = placeholder
+            try:
+                spec = importlib.util.spec_from_file_location(name, path)
+                module = importlib.util.module_from_spec(spec)
+                sys.modules[name] = module
+                spec.loader.exec_module(module)
+                return module.ndtr, module.ndtri
+            except (ImportError, AttributeError):
+                sys.modules.pop(name, None)
+            finally:
+                del sys.modules["scipy.special"]
+    from scipy.special import ndtr, ndtri
+
+    return ndtr, ndtri
+
+
+ndtr, ndtri = _normal_ufuncs()
 
 
 class ShiftMode(str, Enum):

@@ -477,23 +477,139 @@ def test_threads_below_one_rejected(capsys, monkeypatch, flag, env):
 # ---------------------------------------------------------------- imports
 
 
+def fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports the aibmon under test.
+
+    A fresh one, because this test process has imported ``scipy.special``
+    and ``scipy.optimize`` itself (the oracle tests use them as reference).
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
 def test_cli_never_loads_scipy_optimize():
-    # A fresh interpreter, because this test process has imported
-    # scipy.optimize itself (the Brent parity tests use it as reference).
-    # A calibration runs too, so a deferred import would also be caught.
+    # A calibration and a simulation run too, so a deferred import would
+    # also be caught. "scipy.special" is the package: the loader in
+    # stochastics takes ndtr and ndtri from its extension alone.
     code = (
         "import json, sys, aibmon.cli\n"
-        "heavy = lambda: [m for m in ('scipy.optimize', 'scipy.linalg')"
-        " if m in sys.modules]\n"
-        "loaded = heavy()\n"
+        "heavy = lambda: [m for m in ('scipy.optimize', 'scipy.linalg',"
+        " 'scipy.special', 'scipy._lib._array_api') if m in sys.modules]\n"
+        "loaded = [heavy()]\n"
         "assert aibmon.cli.main(['calibrate', '--chart', 'ewma', '--lambda',"
         " '0.1', '--target-arl0', '200']) == 0\n"
-        "print(json.dumps([loaded, heavy()]))\n"
+        "loaded.append(heavy())\n"
+        "assert aibmon.cli.main(['simulate', '--chart', 'ewma', '--lambda', '0.1',"
+        " '--L', '2.454', '--reps', '200', '--threads', '1']) == 0\n"
+        "loaded.append(heavy())\n"
+        "print(json.dumps(loaded))\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = fresh_python(code)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "L 2.454061 method markov achieved_arl0 200.000"
-    assert json.loads(lines[1]) == [[], []]
+    assert lines[1].startswith("ARL ")
+    assert json.loads(lines[2]) == [[], [], []]
+
+
+def test_normal_ufuncs_load_without_scipy_special_package():
+    # No skip when the file is missing: a scipy that moves ndtr or ndtri out
+    # of special/_ufuncs<suffix> fails here instead of silently losing the
+    # fast path to the fallback.
+    code = (
+        "import importlib.machinery, json, os, sys\n"
+        "import aibmon.cli\n"
+        "from aibmon import stochastics\n"
+        "absent = [m for m in ('scipy.special', 'scipy._lib._array_api', 'numpy.f2py')"
+        " if m in sys.modules]\n"
+        "import scipy\n"
+        "directory = os.path.join(os.path.dirname(scipy.__file__), 'special')\n"
+        "files = [os.path.join(directory, '_ufuncs' + s)"
+        " for s in importlib.machinery.EXTENSION_SUFFIXES]\n"
+        "ufuncs = sys.modules['scipy.special._ufuncs']\n"
+        "import scipy.special, scipy.optimize\n"
+        "print(json.dumps({\n"
+        "    'absent_after_import': absent,\n"
+        "    'loaded_from_suffixed_file': ufuncs.__file__ in files,\n"
+        "    'ndtr_is_package_ndtr': stochastics.ndtr is scipy.special.ndtr,\n"
+        "    'ndtri_is_package_ndtri': stochastics.ndtri is scipy.special.ndtri,\n"
+        "    'ufuncs_attribute': scipy.special._ufuncs is ufuncs,\n"
+        "    'erf': float(scipy.special.erf(0.5)),\n"
+        "    'brentq': scipy.optimize.brentq(lambda x: x * x - 2.0, 0.0, 2.0),\n"
+        "}))\n"
+    )
+    proc = fresh_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "absent_after_import": [],
+        "loaded_from_suffixed_file": True,
+        "ndtr_is_package_ndtr": True,
+        "ndtri_is_package_ndtri": True,
+        "ufuncs_attribute": True,
+        "erf": pytest.approx(0.5204998778130465, rel=1e-15),
+        "brentq": pytest.approx(2.0**0.5, rel=1e-12),
+    }
+
+
+# Code run before aibmon is imported: the preloaded package, and three ways
+# the fast path can fail (no file for any suffix, a load that raises, an
+# extension without the names), each of which must fall back to the package.
+_PARTIAL_EXTENSION = (
+    "import importlib.util\n"
+    "real = importlib.util.spec_from_file_location\n"
+    "class Partial:\n"
+    "    def create_module(self, spec):\n"
+    "        return None\n"
+    "    def exec_module(self, module):\n"
+    "        {}\n"
+    "def spec_from_file_location(name, path):\n"
+    "    spec = real(name, path)\n"
+    "    spec.loader = Partial()\n"
+    "    return spec\n"
+    "importlib.util.spec_from_file_location = spec_from_file_location\n"
+)
+PRELUDES = {
+    "fast": "",
+    "preloaded": "import scipy.special\n",
+    "no file": "import importlib.machinery\n"
+               "importlib.machinery.EXTENSION_SUFFIXES = ['.no-such-suffix']\n",
+    "load raises": _PARTIAL_EXTENSION.format("raise ImportError('simulated')"),
+    "names missing": _PARTIAL_EXTENSION.format("pass"),
+}
+
+
+@pytest.mark.parametrize("prelude", ["preloaded", "no file", "load raises",
+                                     "names missing"])
+def test_normal_ufuncs_are_the_packages_on_every_other_path(prelude):
+    code = PRELUDES[prelude] + (
+        "import json, sys\n"
+        "import aibmon.cli, scipy.special\n"
+        "from aibmon import stochastics\n"
+        "ufuncs = sys.modules['scipy.special._ufuncs']\n"
+        "print(json.dumps([stochastics.ndtr is scipy.special.ndtr,\n"
+        "                  stochastics.ndtri is scipy.special.ndtri,\n"
+        "                  ufuncs is scipy.special._ufuncs,\n"
+        "                  ufuncs.ndtri is stochastics.ndtri]))\n"
+    )
+    proc = fresh_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [True, True, True, True]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--chart", "ewma", "--lambda", "0.1", "--L", "2.454", "--rho", "0.5",
+     "--delta-x", "0.5", "--reps", "2000", "--seed", "4", "--threads", "1"],
+    ["calibrate", "--chart", "ewma", "--lambda", "0.1", "--target-arl0", "200"],
+])
+def test_outputs_are_byte_identical_on_every_loader_path(argv, tmp_path):
+    main_code = "import sys, aibmon.cli\nsys.exit(aibmon.cli.main(sys.argv[1:]))\n"
+    results = {}
+    for path in ("fast", "preloaded", "no file"):
+        out = tmp_path / f"{path}.json"
+        extra = ["--out", str(out)] if argv[0] == "simulate" else []
+        proc = fresh_python(PRELUDES[path] + main_code, *argv, *extra)
+        results[path] = (proc.returncode, proc.stdout,
+                         out.read_bytes() if extra else b"")
+    assert results["fast"][0] == 0, results
+    assert results["fast"] == results["preloaded"] == results["no file"]

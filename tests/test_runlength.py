@@ -5,6 +5,8 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aibmon import (
     ChartKind,
@@ -18,6 +20,7 @@ from aibmon import (
     estimate_runlength,
     make_limits,
     shewhart_arl_exact,
+    standardized_shift,
     trace,
 )
 from aibmon import estimators, runlength, sample_subgroup, shifted_means
@@ -71,6 +74,23 @@ def test_in_control_shewhart_run_length_is_geometric():
     assert set(s.percentiles) == {5, 25, 50, 75, 95}
     # geometric quantiles: median ~ ARL * ln 2
     assert s.percentiles[50] == pytest.approx(exact * math.log(2), rel=0.08)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(rho=st.floats(-0.9, 0.9), delta_x=st.floats(-1.0, 1.0), L=st.floats(1.5, 2.5),
+       seed=st.integers(0, 2**32))
+def test_shewhart_arl_matches_closed_form_over_random_cells(rho, delta_x, L, seed):
+    # 4 standard errors of the exact geometric law, sd sqrt(1 - p) / p, so
+    # the bound does not lean on the sample's own spread.
+    reps = 2000
+    model = ProcessModel.standard(rho)
+    scenario = ShiftScenario(delta_x=delta_x)
+    config = SimulationConfig(model, scenario, make_limits(ChartKind.SHEWHART, 1.0, L, model),
+                              reps=reps, master_seed=seed)
+    exact = shewhart_arl_exact(L, standardized_shift(model, scenario))
+    p = 1.0 / exact
+    se = math.sqrt(1.0 - p) / p / math.sqrt(reps)
+    assert abs(estimate_runlength(config, threads=1).arl - exact) < 4.0 * se
 
 
 def test_masking_mode_run_lengths_match_in_control():
