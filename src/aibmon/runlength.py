@@ -9,11 +9,20 @@ over worker processes.
 
 A study splits its replications into one contiguous share per worker, and
 each share into equal chunks of at most ``_CHUNK`` rows that run one after
-another. With more than one worker, each worker is a child process forked
-for that call alone: it runs its share, writes its run lengths to a pipe
-and exits, and the caller reaps every child before it returns. The engine
-is bound by single-threaded C calls (Philox words, the ``ndtri`` decode)
-that hold the GIL, so threads would only queue behind each other.
+another. With more than one worker, the shares go to a pool of forked
+worker processes that lives as long as the interpreter: the first study
+that plans more than one worker forks it, a study that plans more grows
+it, and every later study reuses it over pipes, so a process pays the
+fork, the first-run page faults and the reaping once, not once per study.
+The engine is bound by single-threaded C calls (Philox words, the ``ndtri``
+decode) that hold the GIL, so threads would only queue behind each other.
+
+Workers run the code as it was when they were forked: a later change to
+this module's globals (a monkeypatched engine function, say) does not
+reach them. Code that patches the engine must start from an empty pool
+(``_shutdown_workers``). The pool is shut down at exit, and a forked
+child of this process (a worker, or a user's ``multiprocessing`` child)
+starts with an empty pool of its own.
 
 The monitored party never learns of the shift: the chart statistic and
 limits always use the in-control parameters, while the data-generating
@@ -24,8 +33,11 @@ changepoint of 0 that is simply the first subgroup.
 
 from __future__ import annotations
 
+import atexit
 import os
 import pickle
+import threading
+import time
 import traceback
 from dataclasses import dataclass
 from signal import SIGKILL
@@ -62,14 +74,18 @@ _BLOCK_FIRST = 64
 _SLICE = 16
 _BLOCK_MAX = 1024
 _CHUNK = 4096
-# A child costs about 3 ms to fork, and its first allocations copy the
-# parent's heap pages (about 2,700 page faults, 10-15 ms). Serial against
-# two children on 2 vCPUs, medians of 9 alternating calls, at 2,000 and
-# 4,000 replications: in-control EWMA (ARL 200) 78 -> 70 and 161 -> 124 ms;
-# Shewhart at ARL 200 87 -> 77 and 132 -> 113 ms; Shewhart at ARL 21
-# 14 -> 24 and 31 -> 43 ms; EWMA at ARL 7 11 -> 20 and 30 -> 38 ms. So a
-# second child pays from 2,000 replications at ARL 200 but not below 4,000
-# at ARL 21 or less, and 1,000 replications split in two lose at every ARL.
+# A process's first parallel study forks the pool and pays each worker's
+# first-run page faults (about 3,000, 3-4 us each); later studies reuse it.
+# Serial against two workers on 2 vCPUs, medians of 11 fresh processes, in
+# ms, as serial -> first study / later study:
+#   replications      1,000            2,000            4,000
+#   ARL 200       45 -> 39 / 28    77 -> 63 / 44    137 -> 103 / 79
+#   ARL 21        11 -> 17 / 7     17 -> 24 / 11     28 -> 34 / 18
+#   ARL 7          8 -> 14 / 5     15 -> 21 / 9      29 -> 34 / 15
+# (in-control EWMA, lambda 0.1; Shewhart at rho 0.75, delta_x 1 and 1.5).
+# Warm workers beat serial everywhere, but a first study below ARL 200
+# loses up to 4,000 replications, so a 1,000-replication study still runs
+# serially.
 _MIN_REPS_PER_WORKER = 1_000
 _MAX_CENSORED_FRACTION = 0.001
 
@@ -238,73 +254,102 @@ def _run_share(config: SimulationConfig, share: np.ndarray) -> np.ndarray:
 
 
 def _run_forked(config: SimulationConfig, shares: list[np.ndarray]) -> np.ndarray:
-    """Run lengths of the shares in order, one forked child per share.
+    """Run lengths of the shares in order, one pool worker per share.
 
     Not spawn: a spawned worker imports aibmon, numpy and scipy afresh
     (0.26 s, median of 11 fresh ``import aibmon.cli`` on 2 vCPUs), three
     times a whole serial 10,000-replication study at ARL 21 (0.09 s) and
-    most of one at ARL 200 (0.36 s). The caller only waits. A child's
-    exception is raised here; whatever way this function leaves, no child
-    is left running or unreaped and no pipe end open.
+    most of one at ARL 200 (0.36 s). The workers persist between calls
+    (``_pool``); the caller sends every share, then reads the replies in
+    order. A worker's exception is raised here. If a worker fails or dies,
+    or this call leaves by any exception while the workers are busy, the
+    whole pool is killed and reaped with every pipe end closed, and the
+    next call forks a new one.
     """
-    running: list[int] = []
-    fds: list[int] = []
-    try:
-        for share in shares:
-            read_fd, write_fd = os.pipe()
-            fds.append(read_fd)
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _child(config, share, write_fd, fds)
-            finally:
-                # Closed before the next fork, or no read would see EOF.
-                os.close(write_fd)
-            running.append(pid)
-        results = []
-        for pid, fd in zip(running[:], fds):
-            data = _read_all(fd)
-            status = os.waitpid(pid, 0)[1]
-            running.remove(pid)
-            if os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0:
-                results.append(np.frombuffer(data, dtype=np.int64))
-            elif os.WIFEXITED(status) and os.WEXITSTATUS(status) == 1 and data:
-                exc, text = pickle.loads(data)
-                raise exc from RuntimeError(f"in worker process {pid}:\n{text}")
-            else:
-                raise RuntimeError(f"worker process {pid} failed, wait status {status}")
-        return np.concatenate(results)
-    finally:
-        for pid in running:
-            os.kill(pid, SIGKILL)
-            os.waitpid(pid, 0)
-        for fd in fds:
-            os.close(fd)
-
-
-def _child(
-    config: SimulationConfig, share: np.ndarray, fd: int, read_fds: list[int]
-) -> NoReturn:
-    """Body of a forked worker; it never returns.
-
-    Writes the share's int64 run lengths to ``fd`` and exits 0, or writes
-    the pickled (exception, traceback text) and exits 1. It first closes
-    the read ends it inherited, so that if the caller dies its write fails
-    instead of blocking forever.
-    """
-    code = 2
-    try:
-        for read_fd in read_fds:
-            os.close(read_fd)
+    with _workers_lock:
+        workers = _pool(len(shares))
+        pid = 0
         try:
-            payload, ok = _run_share(config, share).tobytes(), True
-        except BaseException as exc:
-            payload, ok = _pickled_failure(exc), False
-        with open(fd, "wb") as pipe:
-            pipe.write(payload)
-        code = 0 if ok else 1
+            for (pid, request_fd, _), share in zip(workers, shares):
+                _write_all(request_fd, _frame(_OK, pickle.dumps((config, share))))
+            results = []
+            for pid, _, reply_fd in workers:
+                ok, payload = _read_reply(reply_fd)
+                if not ok:
+                    break
+                results.append(np.frombuffer(payload, dtype=np.int64))
+        except (BrokenPipeError, EOFError):
+            status = _kill_workers()[pid]
+            raise RuntimeError(f"worker process {pid} died, wait status {status}") from None
+        except BaseException:
+            _kill_workers()
+            raise
+        if not ok:
+            _kill_workers()
+            exc, text = pickle.loads(payload)
+            raise exc from RuntimeError(f"in worker process {pid}:\n{text}")
+    return np.concatenate(results)
+
+
+# The pool: (pid, request write fd, reply read fd) per worker. Guarded by
+# _workers_lock; emptied in every forked child by _forget_workers.
+_workers: list[tuple[int, int, int]] = []
+_workers_lock = threading.Lock()
+# A message is a status byte, the payload's length and the payload.
+_OK, _FAILED = 0, 1
+_HEADER = 9
+# How long shutdown waits for the workers to exit before killing them.
+_SHUTDOWN_WAIT_S = 5.0
+
+
+def _pool(size: int) -> list[tuple[int, int, int]]:
+    """The first ``size`` workers, forking those missing.
+
+    A worker that died while idle (a Ctrl-C reaches the whole process
+    group) is reaped and replaced.
+    """
+    for worker in [w for w in _workers if os.waitpid(w[0], os.WNOHANG)[0]]:
+        _workers.remove(worker)
+        os.close(worker[1])
+        os.close(worker[2])
+    while len(_workers) < size:
+        request_read, request_write = os.pipe()
+        reply_read, reply_write = os.pipe()
+        try:
+            pid = os.fork()
+            if pid == 0:
+                os.close(request_write)
+                os.close(reply_read)
+                _serve(request_read, reply_write)
+            _workers.append((pid, request_write, reply_read))
+        except BaseException:
+            os.close(request_write)
+            os.close(reply_read)
+            raise
+        finally:
+            os.close(request_read)
+            os.close(reply_write)
+    return _workers[:size]
+
+
+def _serve(request_fd: int, reply_fd: int) -> NoReturn:
+    """Body of a pool worker; it never returns.
+
+    Answers each request, a pickled (config, share), with the share's int64
+    run lengths or, if the share raised, the pickled (exception, traceback
+    text). It exits at EOF (the caller closed the pipe or died), on a failed
+    reply write and on any exception outside a share.
+    """
+    try:
+        while True:
+            _, request = _read_message(request_fd)
+            try:
+                reply = _frame(_OK, _run_share(*pickle.loads(request)).tobytes())
+            except BaseException as exc:
+                reply = _frame(_FAILED, _pickled_failure(exc))
+            _write_all(reply_fd, reply)
     finally:
-        os._exit(code)
+        os._exit(0)
 
 
 def _pickled_failure(exc: BaseException) -> bytes:
@@ -322,10 +367,87 @@ def _pickled_failure(exc: BaseException) -> bytes:
     return payload
 
 
-def _read_all(fd: int) -> bytes:
-    """Everything written to the pipe ``fd`` until its last writer exits."""
-    with open(fd, "rb", closefd=False) as pipe:
-        return pipe.read()
+def _frame(status: int, payload: bytes) -> bytes:
+    return bytes([status]) + len(payload).to_bytes(_HEADER - 1, "little") + payload
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view) :]
+
+
+def _read_exact(fd: int, size: int) -> bytearray:
+    """``size`` bytes from ``fd``; EOFError if the writer closes first."""
+    data = bytearray(size)
+    view = memoryview(data)
+    got = 0
+    while got < size:
+        n = os.readv(fd, [view[got:]])
+        if not n:
+            raise EOFError(f"pipe closed after {got} of {size} bytes")
+        got += n
+    return data
+
+
+def _read_message(fd: int) -> tuple[int, bytearray]:
+    header = _read_exact(fd, _HEADER)
+    return header[0], _read_exact(fd, int.from_bytes(header[1:], "little"))
+
+
+def _read_reply(fd: int) -> tuple[bool, bytearray]:
+    """A worker's reply: (True, run-length bytes) or (False, pickled failure)."""
+    status, payload = _read_message(fd)
+    return status == _OK, payload
+
+
+def _kill_workers() -> dict[int, int]:
+    """SIGKILL, reap and forget every worker; returns their wait statuses."""
+    statuses = {}
+    while _workers:
+        pid, request_fd, reply_fd = _workers.pop()
+        os.close(request_fd)
+        os.close(reply_fd)
+        os.kill(pid, SIGKILL)
+        statuses[pid] = os.waitpid(pid, 0)[1]
+    return statuses
+
+
+def _shutdown_workers() -> None:
+    """Close the pool's pipes and reap its workers, which exit at EOF.
+
+    A worker still running after ``_SHUTDOWN_WAIT_S`` is killed. Runs at
+    exit; the next parallel study forks a new pool.
+    """
+    with _workers_lock:
+        workers = _workers[:]
+        _workers.clear()
+        for _, request_fd, reply_fd in workers:
+            os.close(request_fd)
+            os.close(reply_fd)
+        deadline = time.monotonic() + _SHUTDOWN_WAIT_S
+        for pid, _, _ in workers:
+            while not os.waitpid(pid, os.WNOHANG)[0]:
+                if time.monotonic() > deadline:
+                    os.kill(pid, SIGKILL)
+                    os.waitpid(pid, 0)
+                    break
+                time.sleep(0.001)
+
+
+def _forget_workers() -> None:
+    """In a forked child: drop the parent's pool, which is not the child's."""
+    global _workers_lock
+    _workers_lock = threading.Lock()
+    for _, request_fd, reply_fd in _workers:
+        os.close(request_fd)
+        os.close(reply_fd)
+    _workers.clear()
+
+
+atexit.register(_shutdown_workers)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
 
 
 def summarize_run_lengths(rl: np.ndarray, rl_cap: int) -> RunLengthSummary:

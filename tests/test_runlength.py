@@ -1,7 +1,12 @@
 import math
 import os
+import pickle
+import subprocess
+import sys
+import threading
 import time
 from contextlib import contextmanager
+from signal import SIGKILL
 
 import numpy as np
 import pytest
@@ -134,14 +139,79 @@ def _open_fds():
     return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
 
 
+def _stat(pid):
+    """Fields of /proc/<pid>/stat after the command name: state, ppid, ..."""
+    with open(f"/proc/{pid}/stat") as f:
+        return f.read().rsplit(")", 1)[1].split()
+
+
+def _children():
+    """Pids whose parent is this process, zombies included; None without /proc."""
+    if not os.path.isdir("/proc/self"):
+        return None
+    pids = set()
+    for entry in os.listdir("/proc"):
+        try:
+            if entry.isdigit() and int(_stat(entry)[1]) == os.getpid():
+                pids.add(int(entry))
+        except OSError:  # it has gone
+            continue
+    return pids
+
+
+def _is_open(fd):
+    try:
+        os.fstat(fd)
+    except OSError:
+        return False
+    return True
+
+
+def _pool_pids():
+    return [pid for pid, _, _ in runlength._workers]
+
+
 @contextmanager
 def no_child_or_fd_left():
-    """Asserts, at the OS level, that the block leaves no child and no fd."""
+    """Asserts, at the OS level, that the block leaves no child and no fd.
+
+    Pool workers count: the block starts from an empty pool and must end
+    with one.
+    """
+    runlength._shutdown_workers()
     before = _open_fds()
     yield
+    assert _pool_pids() == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert _children() in (None, set())
     assert _open_fds() == before
+
+
+@contextmanager
+def nothing_left_beyond_the_pool():
+    """Asserts that the block leaves no child beyond the pool's workers and
+    no fd beyond their pipes (two per worker it added)."""
+    before, pool_before = _open_fds(), len(_pool_pids())
+    yield
+    pool = _pool_pids()
+    assert _children() in (None, set(pool))
+    if pool:
+        assert os.waitpid(-1, os.WNOHANG) == (0, 0)
+    if before is not None:
+        assert _open_fds() == before + 2 * (len(pool) - pool_before)
+
+
+@pytest.fixture(autouse=True)
+def _own_pool_for_patched_engine(request):
+    # Workers run the code they were forked with: a test that patches the
+    # engine must fork its own workers and leave none behind.
+    if "monkeypatch" not in request.fixturenames:
+        yield
+        return
+    runlength._shutdown_workers()
+    yield
+    runlength._shutdown_workers()
 
 
 def test_run_lengths_independent_of_threading_and_chunking():
@@ -149,7 +219,7 @@ def test_run_lengths_independent_of_threading_and_chunking():
     config = shewhart_config(rho=0.3, delta_x=0.5, reps=9001, seed=23)
     serial = simulate_run_lengths(config, threads=1)
     for workers in (2, 3):
-        with no_child_or_fd_left():
+        with nothing_left_beyond_the_pool():
             assert np.array_equal(simulate_run_lengths(config, threads=workers), serial)
     a = estimate_runlength(config, threads=1)
     b = estimate_runlength(config, threads=3)
@@ -158,15 +228,179 @@ def test_run_lengths_independent_of_threading_and_chunking():
 
 @pytest.mark.parametrize("reps", [1999, 2000, 2001])
 def test_run_lengths_independent_of_workers_at_the_floor(reps):
-    # 1999 replications run serially, 2000 and 2001 on two children (one
+    # 1999 replications run serially, 2000 and 2001 on two workers (one
     # per _MIN_REPS_PER_WORKER); the split changes no byte.
     config = shewhart_config(rho=0.5, delta_x=0.5, reps=reps, seed=29)
     serial = simulate_run_lengths(config, threads=1)
     assert serial.dtype == np.int64 and serial.shape == (reps,)
     for workers in (2, 3):
-        with no_child_or_fd_left():
+        with nothing_left_beyond_the_pool():
             rl = simulate_run_lengths(config, threads=workers)
         assert rl.dtype == np.int64 and rl.tobytes() == serial.tobytes()
+
+
+def _next_study_reforks(dead_pids):
+    # After a failure the pool is gone; the next study forks new workers
+    # and its run lengths match a serial run byte for byte.
+    config = shewhart_config(rho=0.5, delta_x=1.0, reps=2000, seed=31)
+    with nothing_left_beyond_the_pool():
+        rl = simulate_run_lengths(config, threads=2)
+    assert len(_pool_pids()) == 2 and not set(_pool_pids()) & set(dead_pids)
+    assert rl.tobytes() == simulate_run_lengths(config, threads=1).tobytes()
+
+
+@pytest.mark.skipif(usable_cpus() < 2, reason="two workers need two usable CPUs")
+def test_studies_reuse_the_pool():
+    runlength._shutdown_workers()
+    config = shewhart_config(rho=0.5, delta_x=0.5, reps=2000, seed=37)
+    serial = simulate_run_lengths(config, threads=1)
+    with nothing_left_beyond_the_pool():
+        first = simulate_run_lengths(config, threads=2)
+    pool = _pool_pids()
+    assert len(pool) == 2
+    with nothing_left_beyond_the_pool():
+        second = simulate_run_lengths(config, threads=2)
+        # Serial studies leave the pool alone.
+        simulate_run_lengths(config, threads=1)
+    assert _pool_pids() == pool
+    assert first.tobytes() == second.tobytes() == serial.tobytes()
+
+
+@pytest.mark.skipif(usable_cpus() < 2, reason="two workers need two usable CPUs")
+def test_pool_grows_when_a_study_plans_more_workers(monkeypatch):
+    # Three workers need three usable CPUs; the plan only reads the count.
+    monkeypatch.setattr(runlength, "usable_cpus", lambda: 3)
+    config = shewhart_config(rho=0.5, delta_x=0.5, reps=3000, seed=41)
+    serial = simulate_run_lengths(config, threads=1)
+    with nothing_left_beyond_the_pool():
+        simulate_run_lengths(config, threads=2)
+        pool = _pool_pids()
+        assert simulate_run_lengths(config, threads=3).tobytes() == serial.tobytes()
+        assert len(_pool_pids()) == 3 and _pool_pids()[:2] == pool
+        # A smaller study uses the first workers and keeps the rest.
+        assert simulate_run_lengths(config, threads=2).tobytes() == serial.tobytes()
+    assert len(_pool_pids()) == 3 and _pool_pids()[:2] == pool
+
+
+@pytest.mark.skipif(usable_cpus() < 2, reason="two workers need two usable CPUs")
+def test_shutdown_leaves_no_child_or_fd():
+    config = shewhart_config(reps=2000, seed=43)
+    with no_child_or_fd_left():
+        simulate_run_lengths(config, threads=2)
+        assert len(_pool_pids()) == 2
+        start = time.monotonic()
+        runlength._shutdown_workers()
+        # Each worker exits at EOF, long before shutdown would kill it: no
+        # process but the caller holds a worker's request pipe open.
+        assert time.monotonic() - start < runlength._SHUTDOWN_WAIT_S / 2
+    runlength._shutdown_workers()  # an empty pool is a no-op
+
+
+@pytest.mark.skipif(usable_cpus() < 2 or not os.path.isdir("/proc/self"),
+                    reason="two workers need two usable CPUs; a worker's state is read in /proc")
+def test_worker_that_died_while_idle_is_replaced():
+    # A Ctrl-C reaches the whole process group and ends idle workers.
+    config = shewhart_config(rho=0.5, delta_x=0.5, reps=2000, seed=47)
+    simulate_run_lengths(config, threads=2)
+    dead, alive = _pool_pids()
+    os.kill(dead, SIGKILL)
+    deadline = time.monotonic() + 30
+    while _stat(dead)[0] != "Z":
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+    with nothing_left_beyond_the_pool():
+        rl = simulate_run_lengths(config, threads=2)
+    assert alive in _pool_pids() and dead not in _pool_pids() and len(_pool_pids()) == 2
+    assert rl.tobytes() == simulate_run_lengths(config, threads=1).tobytes()
+
+
+@pytest.mark.skipif(usable_cpus() < 2, reason="two workers need two usable CPUs")
+def test_forked_child_runs_its_own_workers():
+    config = shewhart_config(rho=0.5, delta_x=0.5, reps=2000, seed=53)
+    serial = simulate_run_lengths(config, threads=1)
+    simulate_run_lengths(config, threads=2)
+    parent_workers = list(runlength._workers)
+    parent_pool = _pool_pids()
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            # The parent's pipe ends, open here, would keep its workers
+            # from seeing EOF.
+            inherited = list(runlength._workers) + [
+                fd for _, *fds in parent_workers for fd in fds if _is_open(fd)
+            ]
+            rl = simulate_run_lengths(config, threads=2)
+            report = (inherited, _pool_pids(), rl.tobytes())
+            runlength._shutdown_workers()
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(report, pipe)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    with open(read_fd, "rb") as pipe:
+        inherited, child_pool, child_rl = pickle.load(pipe)
+    assert os.waitpid(pid, 0)[1] == 0
+    assert inherited == []
+    assert len(child_pool) == 2 and not set(child_pool) & set(parent_pool)
+    assert child_rl == serial.tobytes()
+    with nothing_left_beyond_the_pool():
+        assert simulate_run_lengths(config, threads=2).tobytes() == serial.tobytes()
+    assert _pool_pids() == parent_pool
+
+
+@pytest.mark.skipif(usable_cpus() < 2, reason="two workers need two usable CPUs")
+def test_threads_sharing_the_pool_get_identical_results():
+    config = shewhart_config(rho=0.5, delta_x=0.5, reps=4000, seed=59)
+    serial = simulate_run_lengths(config, threads=1)
+    results = [None] * 4
+
+    def study(i):
+        results[i] = simulate_run_lengths(config, threads=2).tobytes()
+
+    # More threads than CPUs, switching often, so that unserialised pipe
+    # traffic would interleave.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with nothing_left_beyond_the_pool():
+            threads = [threading.Thread(target=study, args=(i,)) for i in range(len(results))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [serial.tobytes()] * len(results)
+
+
+_TWO_STUDIES = """
+from aibmon import ChartKind, ProcessModel, ShiftScenario, SimulationConfig, make_limits
+from aibmon import runlength
+model = ProcessModel.standard(0.5)
+spec = make_limits(ChartKind.EWMA, 0.1, 2.454, model)
+config = SimulationConfig(model, ShiftScenario(), spec, reps=2000, master_seed=5)
+runlength.simulate_run_lengths(config, threads=2)
+runlength.simulate_run_lengths(config, threads=2)
+print(*(pid for pid, _, _ in runlength._workers))
+"""
+
+
+@pytest.mark.skipif(usable_cpus() < 2, reason="two workers need two usable CPUs")
+def test_no_worker_outlives_its_interpreter():
+    # subprocess.run returns only once every holder of the child's stdout has
+    # exited, and the workers hold it: the exit hook must reap them.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _TWO_STUDIES], stdout=subprocess.PIPE,
+                          env=env, text=True, timeout=120, check=True)
+    pids = [int(pid) for pid in proc.stdout.split()]
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def _decode_fails(n, words):
@@ -180,9 +414,12 @@ def test_worker_exception_reaches_the_caller(monkeypatch):
     with no_child_or_fd_left():
         with pytest.raises(RuntimeError, match="decode failed in process") as exc:
             simulate_run_lengths(shewhart_config(reps=6000), threads=2)
-    assert int(str(exc.value).split()[-1]) != os.getpid()
+    worker = int(str(exc.value).split()[-1])
+    assert worker != os.getpid()
     # The worker's traceback rides along as the cause.
     assert "_decode_fails" in str(exc.value.__cause__)
+    monkeypatch.undo()
+    _next_study_reforks([worker])
 
 
 def _first_share_fails_second_hangs(config, rep_indices):
@@ -221,14 +458,47 @@ def test_unpicklable_worker_exception_becomes_runtime_error(monkeypatch):
 @pytest.mark.skipif(usable_cpus() < 2, reason="two workers need two usable CPUs")
 def test_caller_interrupted_while_reading_kills_and_reaps_workers(monkeypatch):
     monkeypatch.setattr(runlength, "_chunk_run_lengths", _first_share_fails_second_hangs)
+    busy = []
 
     def interrupted(fd):
+        busy.extend(_pool_pids())
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(runlength, "_read_all", interrupted)
+    monkeypatch.setattr(runlength, "_read_reply", interrupted)
     with no_child_or_fd_left():
         with pytest.raises(KeyboardInterrupt):
             simulate_run_lengths(shewhart_config(reps=2000), threads=2)
+    assert len(busy) == 2
+    monkeypatch.undo()
+    _next_study_reforks(busy)
+
+
+def _share_hangs(config, rep_indices):
+    time.sleep(600)
+
+
+@pytest.mark.skipif(usable_cpus() < 2, reason="two workers need two usable CPUs")
+def test_worker_killed_mid_share_fails_the_study(monkeypatch):
+    monkeypatch.setattr(runlength, "_chunk_run_lengths", _share_hangs)
+    read_reply = runlength._read_reply
+    killed = []
+
+    def kill_then_read(fd):
+        # Both workers are inside their share, which never ends.
+        if not killed:
+            killed.append(_pool_pids()[0])
+            os.kill(killed[0], SIGKILL)
+        return read_reply(fd)
+
+    monkeypatch.setattr(runlength, "_read_reply", kill_then_read)
+    start = time.monotonic()
+    with no_child_or_fd_left():
+        with pytest.raises(RuntimeError, match=r"^worker process \d+ died") as exc:
+            simulate_run_lengths(shewhart_config(reps=2000), threads=2)
+    assert time.monotonic() - start < 60
+    assert str(exc.value) == f"worker process {killed[0]} died, wait status {int(SIGKILL)}"
+    monkeypatch.undo()
+    _next_study_reforks(killed)
 
 
 @pytest.mark.parametrize(
