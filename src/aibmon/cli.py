@@ -25,6 +25,7 @@ from .experiments import (
 from .oracles import _calibrate, calibrate_limit
 from .oracles import ewma_arl_markov  # noqa: F401  (bench/layers.py hooks this name)
 from .runlength import (
+    PERCENTILE_LEVELS,
     RunLengthSummary,
     SimulationConfig,
     estimate_runlength,
@@ -89,10 +90,10 @@ def _load_config(path: str, sim: argparse.ArgumentParser) -> dict:
 
 
 def _summary_csv_lines(s: RunLengthSummary) -> list[str]:
-    header = "arl,sdrl,se_arl,reps,censored,p5,p25,p50,p75,p95"
-    pct = ",".join(f"{s.percentiles[lv]:.10g}" for lv in (5, 25, 50, 75, 95))
+    levels = ",".join(f"p{lv}" for lv in PERCENTILE_LEVELS)
+    pct = ",".join(f"{s.percentiles[lv]:.10g}" for lv in PERCENTILE_LEVELS)
     return [
-        header,
+        f"arl,sdrl,se_arl,reps,censored,{levels}",
         f"{s.arl:.10g},{s.sdrl:.10g},{s.se_arl:.10g},{s.reps},{s.censored},{pct}",
     ]
 
@@ -111,6 +112,17 @@ def _summary_json_line(s: RunLengthSummary) -> str:
     )
 
 
+def _check_writable(path: Path) -> None:
+    """Refuses, before any study runs, an output that is a directory or whose
+    directory is missing or read-only, so that no result is computed only to
+    be lost."""
+    parent = path.parent
+    if not (parent.is_dir() and os.access(parent, os.W_OK)):
+        raise ValueError(f"cannot write {path}: {parent} is not a writable directory")
+    if path.is_dir():
+        raise ValueError(f"cannot write {path}: it is a directory")
+
+
 def _write_lines(path: Path, lines: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -123,10 +135,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError("give --L or --target-arl0, not both")
     if args.L is None and args.target_arl0 is None:
         raise ValueError("one of --L or --target-arl0 is required")
-    lam = 1.0 if kind is ChartKind.SHEWHART else args.lam
+    if args.out:
+        _check_writable(Path(args.out))
     limit = args.L
     if limit is None:
-        limit = calibrate_limit(kind, lam, args.target_arl0)
+        limit = calibrate_limit(kind, args.lam, args.target_arl0)
     model = ProcessModel(mu_y0=args.mu_y0, mu_x0=args.mu_x0, sigma_y=args.sigma_y,
                          sigma_x=args.sigma_x, rho=args.rho, n=args.n)
     scenario = ShiftScenario(delta_y=args.delta_y, delta_x=args.delta_x,
@@ -134,7 +147,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = SimulationConfig(
         model=model,
         scenario=scenario,
-        spec=make_limits(kind, lam, limit, model),
+        spec=make_limits(kind, args.lam, limit, model),
         reps=args.reps,
         master_seed=args.seed,
         rl_cap=args.rl_cap,
@@ -166,6 +179,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
+    _check_writable(Path(args.out))
     cells = reproduce_table1(
         reps=args.reps,
         master_seed=args.seed,
@@ -189,6 +203,9 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 
 def cmd_mask_demo(args: argparse.Namespace) -> int:
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _check_writable(out_dir / "trace.csv")
     demo = masking_demo(
         rho=args.rho,
         delta_y=args.delta_y,
@@ -200,8 +217,6 @@ def cmd_mask_demo(args: argparse.Namespace) -> int:
         counterfactual_reps=args.reps,
         threads=_resolve_threads(args.threads),
     )
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_lines(out_dir / "trace.csv", trace_csv_lines(demo.points))
     _write_lines(out_dir / "scatter.csv", scatter_csv_lines(demo.points))
     cf = demo.counterfactual

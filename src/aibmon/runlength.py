@@ -20,9 +20,10 @@ decode) that hold the GIL, so threads would only queue behind each other.
 Workers run the code as it was when they were forked: a later change to
 this module's globals (a monkeypatched engine function, say) does not
 reach them. Code that patches the engine must start from an empty pool
-(``_shutdown_workers``). The pool is shut down at exit, and a forked
-child of this process (a worker, or a user's ``multiprocessing`` child)
-starts with an empty pool of its own.
+(``_shutdown_workers``). At exit the pool is killed and reaped; if the
+process dies without running its exit hooks, each worker exits by itself
+at EOF on its request pipe. A forked child of this process (a worker, or a
+user's ``multiprocessing`` child) starts with an empty pool of its own.
 
 The monitored party never learns of the shift: the chart statistic and
 limits always use the in-control parameters, while the data-generating
@@ -37,7 +38,6 @@ import atexit
 import os
 import pickle
 import threading
-import time
 import traceback
 from dataclasses import dataclass
 from signal import SIGKILL
@@ -264,29 +264,30 @@ def _run_forked(config: SimulationConfig, shares: list[np.ndarray]) -> np.ndarra
     order. A worker's exception is raised here. If a worker fails or dies,
     or this call leaves by any exception while the workers are busy, the
     whole pool is killed and reaped with every pipe end closed, and the
-    next call forks a new one.
+    next call forks a new one. So the workers are idle whenever the lock is
+    free, and killing them at exit (``_shutdown_workers``) loses nothing.
     """
     with _workers_lock:
         workers = _pool(len(shares))
         pid = 0
         try:
             for (pid, request_fd, _), share in zip(workers, shares):
-                _write_all(request_fd, _frame(_OK, pickle.dumps((config, share))))
+                _send(request_fd, (config, share))
             results = []
             for pid, _, reply_fd in workers:
-                ok, payload = _read_reply(reply_fd)
-                if not ok:
+                run_lengths, failure = _recv(reply_fd)
+                if failure:
                     break
-                results.append(np.frombuffer(payload, dtype=np.int64))
+                results.append(run_lengths)
         except (BrokenPipeError, EOFError):
             status = _kill_workers()[pid]
             raise RuntimeError(f"worker process {pid} died, wait status {status}") from None
         except BaseException:
             _kill_workers()
             raise
-        if not ok:
+        if failure:
             _kill_workers()
-            exc, text = pickle.loads(payload)
+            exc, text = failure
             raise exc from RuntimeError(f"in worker process {pid}:\n{text}")
     return np.concatenate(results)
 
@@ -295,11 +296,6 @@ def _run_forked(config: SimulationConfig, shares: list[np.ndarray]) -> np.ndarra
 # _workers_lock; emptied in every forked child by _forget_workers.
 _workers: list[tuple[int, int, int]] = []
 _workers_lock = threading.Lock()
-# A message is a status byte, the payload's length and the payload.
-_OK, _FAILED = 0, 1
-_HEADER = 9
-# How long shutdown waits for the workers to exit before killing them.
-_SHUTDOWN_WAIT_S = 5.0
 
 
 def _pool(size: int) -> list[tuple[int, int, int]]:
@@ -310,8 +306,7 @@ def _pool(size: int) -> list[tuple[int, int, int]]:
     """
     for worker in [w for w in _workers if os.waitpid(w[0], os.WNOHANG)[0]]:
         _workers.remove(worker)
-        os.close(worker[1])
-        os.close(worker[2])
+        _close(worker)
     while len(_workers) < size:
         request_read, request_write = os.pipe()
         reply_read, reply_write = os.pipe()
@@ -335,46 +330,49 @@ def _pool(size: int) -> list[tuple[int, int, int]]:
 def _serve(request_fd: int, reply_fd: int) -> NoReturn:
     """Body of a pool worker; it never returns.
 
-    Answers each request, a pickled (config, share), with the share's int64
-    run lengths or, if the share raised, the pickled (exception, traceback
-    text). It exits at EOF (the caller closed the pipe or died), on a failed
-    reply write and on any exception outside a share.
+    Answers each request, a (config, share), with (run lengths, None) or, if
+    the share raised, (None, (exception, traceback text)). It exits at EOF
+    (the caller closed the pipe, or died without running its exit hooks), on
+    a failed reply write and on any exception outside a share.
     """
     try:
         while True:
-            _, request = _read_message(request_fd)
+            config, share = _recv(request_fd)
             try:
-                reply = _frame(_OK, _run_share(*pickle.loads(request)).tobytes())
+                reply = (_run_share(config, share), None)
             except BaseException as exc:
-                reply = _frame(_FAILED, _pickled_failure(exc))
-            _write_all(reply_fd, reply)
+                reply = (None, _picklable_failure(exc))
+            _send(reply_fd, reply)
     finally:
         os._exit(0)
 
 
-def _pickled_failure(exc: BaseException) -> bytes:
-    """``exc`` and its traceback text, or a RuntimeError if ``exc`` won't pickle."""
+def _picklable_failure(exc: BaseException) -> tuple[BaseException, str]:
+    """``exc`` and its traceback text, with a RuntimeError in place of an
+    ``exc`` that won't pickle."""
     text = traceback.format_exc()
     try:
-        payload = pickle.dumps((exc, text))
-        pickle.loads(payload)
+        pickle.loads(pickle.dumps(exc))
     except Exception:
-        substitute = RuntimeError(
+        exc = RuntimeError(
             f"worker process {os.getpid()} raised {type(exc).__name__}, "
             "which cannot be pickled"
         )
-        payload = pickle.dumps((substitute, text))
-    return payload
+    return exc, text
 
 
-def _frame(status: int, payload: bytes) -> bytes:
-    return bytes([status]) + len(payload).to_bytes(_HEADER - 1, "little") + payload
-
-
-def _write_all(fd: int, data: bytes) -> None:
-    view = memoryview(data)
+def _send(fd: int, obj: object) -> None:
+    """Writes one message: the pickle's 8-byte little-endian length, then the pickle."""
+    data = pickle.dumps(obj)
+    view = memoryview(len(data).to_bytes(8, "little") + data)
     while view:
         view = view[os.write(fd, view) :]
+
+
+def _recv(fd: int) -> object:
+    """The object of one ``_send`` message; EOFError if the writer closes first."""
+    size = int.from_bytes(_read_exact(fd, 8), "little")
+    return pickle.loads(_read_exact(fd, size))
 
 
 def _read_exact(fd: int, size: int) -> bytearray:
@@ -390,58 +388,38 @@ def _read_exact(fd: int, size: int) -> bytearray:
     return data
 
 
-def _read_message(fd: int) -> tuple[int, bytearray]:
-    header = _read_exact(fd, _HEADER)
-    return header[0], _read_exact(fd, int.from_bytes(header[1:], "little"))
-
-
-def _read_reply(fd: int) -> tuple[bool, bytearray]:
-    """A worker's reply: (True, run-length bytes) or (False, pickled failure)."""
-    status, payload = _read_message(fd)
-    return status == _OK, payload
+def _close(worker: tuple[int, int, int]) -> None:
+    """Closes this process's two pipe ends of ``worker``."""
+    os.close(worker[1])
+    os.close(worker[2])
 
 
 def _kill_workers() -> dict[int, int]:
     """SIGKILL, reap and forget every worker; returns their wait statuses."""
     statuses = {}
     while _workers:
-        pid, request_fd, reply_fd = _workers.pop()
-        os.close(request_fd)
-        os.close(reply_fd)
-        os.kill(pid, SIGKILL)
-        statuses[pid] = os.waitpid(pid, 0)[1]
+        worker = _workers.pop()
+        _close(worker)
+        os.kill(worker[0], SIGKILL)
+        statuses[worker[0]] = os.waitpid(worker[0], 0)[1]
     return statuses
 
 
 def _shutdown_workers() -> None:
-    """Close the pool's pipes and reap its workers, which exit at EOF.
+    """Kill and reap the pool once no study is using it.
 
-    A worker still running after ``_SHUTDOWN_WAIT_S`` is killed. Runs at
-    exit; the next parallel study forks a new pool.
+    Runs at exit; the next parallel study forks a new pool.
     """
     with _workers_lock:
-        workers = _workers[:]
-        _workers.clear()
-        for _, request_fd, reply_fd in workers:
-            os.close(request_fd)
-            os.close(reply_fd)
-        deadline = time.monotonic() + _SHUTDOWN_WAIT_S
-        for pid, _, _ in workers:
-            while not os.waitpid(pid, os.WNOHANG)[0]:
-                if time.monotonic() > deadline:
-                    os.kill(pid, SIGKILL)
-                    os.waitpid(pid, 0)
-                    break
-                time.sleep(0.001)
+        _kill_workers()
 
 
 def _forget_workers() -> None:
     """In a forked child: drop the parent's pool, which is not the child's."""
     global _workers_lock
     _workers_lock = threading.Lock()
-    for _, request_fd, reply_fd in _workers:
-        os.close(request_fd)
-        os.close(reply_fd)
+    for worker in _workers:
+        _close(worker)
     _workers.clear()
 
 

@@ -223,6 +223,26 @@ def test_simulate_rejects_changepoint_beyond_rl_cap(capsys, monkeypatch):
     assert err == f"error: changepoint must be <= rl_cap, got {10**12} > 10000000\n"
 
 
+def _study_must_not_run(*args, **kwargs):
+    raise AssertionError("the study ran")
+
+
+def test_simulate_refuses_unwritable_out_before_the_study(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "estimate_runlength", _study_must_not_run)
+    out = tmp_path / "missing" / "x.json"
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"out": str(out)}))
+    for where, path in (
+        (["--out", str(out)], out),
+        (["--config", str(cfg)], out),
+        (["--out", str(tmp_path)], tmp_path),  # a directory, not a file
+    ):
+        code, stdout, err = run(capsys, "simulate", "--chart", "ewma", "--L", "2.454",
+                                "--rho", "0.5", "--reps", "2000", *where)
+        assert code == 2 and stdout == ""
+        assert str(path) in err
+
+
 def test_config_accepts_integral_floats(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"chart": "shewhart", "L": 2.807, "reps": 500.0,
@@ -360,6 +380,17 @@ def test_calibrate_ewma_needs_lambda(capsys):
     assert code == 2
 
 
+# -------------------------------------------------------------------- table1
+
+
+def test_table1_refuses_unwritable_out_before_the_study(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "reproduce_table1", _study_must_not_run)
+    out = tmp_path / "missing" / "t.csv"
+    code, stdout, err = run(capsys, "table1", "--reps", "50000", "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert str(out) in err
+
+
 # ----------------------------------------------------------------- mask-demo
 
 
@@ -389,6 +420,16 @@ def test_mask_demo_rejects_trace_ending_before_the_shift(tmp_path, capsys):
     assert stdout == ""
     assert "changepoint must be below n_subgroups, got 300 >= 10" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_mask_demo_refuses_unusable_out_dir_before_the_study(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "masking_demo", _study_must_not_run)
+    (tmp_path / "file").write_text("")
+    out_dir = tmp_path / "file" / "demo"
+    code, stdout, err = run(capsys, "mask-demo", "--rho", "0.5", "--delta-y", "2",
+                            "--out-dir", str(out_dir))
+    assert code == 2 and stdout == ""
+    assert str(out_dir) in err
 
 
 def test_mask_demo_rejects_zero_rho(capsys):

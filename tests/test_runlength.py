@@ -239,6 +239,17 @@ def test_run_lengths_independent_of_workers_at_the_floor(reps):
         assert rl.dtype == np.int64 and rl.tobytes() == serial.tobytes()
 
 
+@pytest.mark.skipif(usable_cpus() < 2, reason="two workers need two usable CPUs")
+def test_messages_larger_than_the_pipe_buffer():
+    # Each request and each reply carries 10,000 rows, about 80 KB, more than
+    # Linux's 64 KiB pipe buffer, so _recv assembles them from partial reads.
+    config = shewhart_config(rho=0.5, delta_x=1.5, reps=20_000, seed=61)
+    serial = simulate_run_lengths(config, threads=1)
+    with nothing_left_beyond_the_pool():
+        rl = simulate_run_lengths(config, threads=2)
+    assert rl.tobytes() == serial.tobytes()
+
+
 def _next_study_reforks(dead_pids):
     # After a failure the pool is gone; the next study forks new workers
     # and its run lengths match a serial run byte for byte.
@@ -288,12 +299,38 @@ def test_shutdown_leaves_no_child_or_fd():
     with no_child_or_fd_left():
         simulate_run_lengths(config, threads=2)
         assert len(_pool_pids()) == 2
-        start = time.monotonic()
         runlength._shutdown_workers()
-        # Each worker exits at EOF, long before shutdown would kill it: no
-        # process but the caller holds a worker's request pipe open.
-        assert time.monotonic() - start < runlength._SHUTDOWN_WAIT_S / 2
     runlength._shutdown_workers()  # an empty pool is a no-op
+
+
+@pytest.mark.skipif(usable_cpus() < 2, reason="two workers need two usable CPUs")
+def test_workers_exit_at_eof():
+    # What ends the workers of a caller that dies without its exit hooks: no
+    # process but the caller holds a worker's request pipe open.
+    config = shewhart_config(reps=2000, seed=43)
+    with no_child_or_fd_left():
+        simulate_run_lengths(config, threads=2)
+        with runlength._workers_lock:
+            workers = list(runlength._workers)
+            runlength._workers.clear()
+        statuses = {}
+        try:
+            for _, request_fd, _ in workers:
+                os.close(request_fd)
+            deadline = time.monotonic() + 5
+            while len(statuses) < len(workers) and time.monotonic() < deadline:
+                for pid, _, _ in workers:
+                    done, status = os.waitpid(pid, os.WNOHANG)
+                    if done:
+                        statuses[pid] = status
+                time.sleep(0.01)
+        finally:
+            for pid, _, reply_fd in workers:
+                os.close(reply_fd)
+                if pid not in statuses:
+                    os.kill(pid, SIGKILL)
+                    os.waitpid(pid, 0)
+        assert statuses == {pid: 0 for pid, _, _ in workers}
 
 
 @pytest.mark.skipif(usable_cpus() < 2 or not os.path.isdir("/proc/self"),
@@ -464,8 +501,11 @@ def test_caller_interrupted_while_reading_kills_and_reaps_workers(monkeypatch):
         busy.extend(_pool_pids())
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(runlength, "_read_reply", interrupted)
     with no_child_or_fd_left():
+        # The workers read their requests with _recv too: fork them first.
+        with runlength._workers_lock:
+            runlength._pool(2)
+        monkeypatch.setattr(runlength, "_recv", interrupted)
         with pytest.raises(KeyboardInterrupt):
             simulate_run_lengths(shewhart_config(reps=2000), threads=2)
     assert len(busy) == 2
@@ -480,7 +520,7 @@ def _share_hangs(config, rep_indices):
 @pytest.mark.skipif(usable_cpus() < 2, reason="two workers need two usable CPUs")
 def test_worker_killed_mid_share_fails_the_study(monkeypatch):
     monkeypatch.setattr(runlength, "_chunk_run_lengths", _share_hangs)
-    read_reply = runlength._read_reply
+    recv = runlength._recv
     killed = []
 
     def kill_then_read(fd):
@@ -488,11 +528,14 @@ def test_worker_killed_mid_share_fails_the_study(monkeypatch):
         if not killed:
             killed.append(_pool_pids()[0])
             os.kill(killed[0], SIGKILL)
-        return read_reply(fd)
+        return recv(fd)
 
-    monkeypatch.setattr(runlength, "_read_reply", kill_then_read)
     start = time.monotonic()
     with no_child_or_fd_left():
+        # The workers read their requests with _recv too: fork them first.
+        with runlength._workers_lock:
+            runlength._pool(2)
+        monkeypatch.setattr(runlength, "_recv", kill_then_read)
         with pytest.raises(RuntimeError, match=r"^worker process \d+ died") as exc:
             simulate_run_lengths(shewhart_config(reps=2000), threads=2)
     assert time.monotonic() - start < 60
