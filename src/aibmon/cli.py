@@ -7,6 +7,7 @@ configuration, 3 excess run-length censoring.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -15,6 +16,7 @@ from pathlib import Path
 from .charts import ChartKind, make_limits
 from .errors import AibmonError, ExcessCensoring
 from .experiments import (
+    EQUIVALENCE_TOLERANCE_ULP,
     masking_demo,
     profile_equivalence_trials,
     reproduce_table1,
@@ -34,23 +36,11 @@ from .runlength import (
 from .stochastics import ProcessModel, ShiftMode, ShiftScenario
 
 
-def _resolve_threads(value) -> int:
-    """Worker processes: --threads, else AIBMON_THREADS, else the usable CPUs."""
-    source = "--threads"
-    if value is None:
-        value = os.environ.get("AIBMON_THREADS")
-        if not value:
-            return usable_cpus()
-        source = "AIBMON_THREADS, in place of --threads"
-    try:
-        threads = int(value)
-    except ValueError:
-        threads = 0  # reported below, like any count under 1
-    if threads < 1:
-        raise ValueError(
-            f"worker count ({source}) must be an integer >= 1, got {value!r}"
-        )
-    return threads
+def _worker_count(text: str) -> int:
+    """A --threads value: an integer >= 1."""
+    if not (text.strip().isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def _load_config(path: str, sim: argparse.ArgumentParser) -> dict:
@@ -99,24 +89,19 @@ def _summary_csv_lines(s: RunLengthSummary) -> list[str]:
 
 
 def _summary_json_line(s: RunLengthSummary) -> str:
-    return json.dumps(
-        {
-            "arl": s.arl,
-            "sdrl": s.sdrl,
-            "se_arl": s.se_arl,
-            "reps": s.reps,
-            "censored": s.censored,
-            "percentiles": {str(k): v for k, v in s.percentiles.items()},
-        },
-        sort_keys=True,
-    )
+    doc = dataclasses.asdict(s)
+    doc["percentiles"] = {str(k): v for k, v in s.percentiles.items()}
+    return json.dumps(doc, sort_keys=True)
 
 
-def _check_writable(path: Path) -> None:
+def _check_writable(path: Path, make_parents: bool = False) -> None:
     """Refuses, before any study runs, an output that is a directory or whose
     directory is missing or read-only, so that no result is computed only to
-    be lost."""
+    be lost. With ``make_parents`` a missing directory is one the caller
+    will make, so its nearest existing ancestor is checked instead."""
     parent = path.parent
+    while make_parents and not parent.exists() and parent != parent.parent:
+        parent = parent.parent
     if not (parent.is_dir() and os.access(parent, os.W_OK)):
         raise ValueError(f"cannot write {path}: {parent} is not a writable directory")
     if path.is_dir():
@@ -152,7 +137,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         master_seed=args.seed,
         rl_cap=args.rl_cap,
     )
-    summary = estimate_runlength(config, threads=_resolve_threads(args.threads))
+    summary = estimate_runlength(config, threads=args.threads)
     print(
         f"ARL {summary.arl:.4f} +/- {summary.se_arl:.4f} "
         f"(sdrl {summary.sdrl:.4f}, reps {summary.reps}, "
@@ -183,7 +168,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
     cells = reproduce_table1(
         reps=args.reps,
         master_seed=args.seed,
-        threads=_resolve_threads(args.threads),
+        threads=args.threads,
     )
     _write_lines(Path(args.out), table1_csv_lines(cells))
     failures = 0
@@ -204,8 +189,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 def cmd_mask_demo(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _check_writable(out_dir / "trace.csv")
+    _check_writable(out_dir / "trace.csv", make_parents=True)
     demo = masking_demo(
         rho=args.rho,
         delta_y=args.delta_y,
@@ -215,8 +199,10 @@ def cmd_mask_demo(args: argparse.Namespace) -> int:
         changepoint=args.changepoint,
         master_seed=args.seed,
         counterfactual_reps=args.reps,
-        threads=_resolve_threads(args.threads),
+        threads=args.threads,
     )
+    # Made only now, so that a refused or failed study leaves no directory.
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_lines(out_dir / "trace.csv", trace_csv_lines(demo.points))
     _write_lines(out_dir / "scatter.csv", scatter_csv_lines(demo.points))
     cf = demo.counterfactual
@@ -230,16 +216,16 @@ def cmd_mask_demo(args: argparse.Namespace) -> int:
 
 def cmd_profile_equiv(args: argparse.Namespace) -> int:
     worst = profile_equivalence_trials(args.trials, args.seed)
-    ok = worst <= 8.0
+    ok = worst <= EQUIVALENCE_TOLERANCE_ULP
     print(f"max gap {worst:.3f} ulp over {args.trials} trials: "
-          f"{'pass' if ok else 'FAIL'} (tolerance 8 ulp)")
+          f"{'pass' if ok else 'FAIL'} (tolerance {EQUIVALENCE_TOLERANCE_ULP:g} ulp)")
     return 0 if ok else 1
 
 
 def _add_threads(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker processes (env AIBMON_THREADS; default "
-                             "the usable CPUs; results do not depend on this)")
+    parser.add_argument("--threads", type=_worker_count, default=usable_cpus(),
+                        help="worker processes, the usable CPUs by default; "
+                             "results do not depend on this")
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:

@@ -200,12 +200,6 @@ def masking_demo(
         spec=spec,
         master_seed=master_seed,
     )
-    if changepoint >= n_subgroups:
-        raise ValueError(
-            f"changepoint must be below n_subgroups, got {changepoint} >= "
-            f"{n_subgroups}: the trace would end before the shift"
-        )
-    points = trace(masked, 0, n_subgroups)
     counterfactual = SimulationConfig(
         model=model,
         scenario=ShiftScenario(delta_y=delta_y, delta_x=0.0),
@@ -213,6 +207,12 @@ def masking_demo(
         reps=counterfactual_reps,
         master_seed=master_seed,
     )
+    if changepoint >= n_subgroups:
+        raise ValueError(
+            f"changepoint must be below n_subgroups, got {changepoint} >= "
+            f"{n_subgroups}: the trace would end before the shift"
+        )
+    points = trace(masked, 0, n_subgroups)
     return MaskingDemo(
         points=points,
         signal_count=sum(p.signal for p in points),
@@ -251,6 +251,11 @@ def profile_deviation(sample: PairedSample, profile: ProfileModel) -> float:
     return float(sample.y.mean()) - profile.a0 - profile.b0 * float(sample.x.mean())
 
 
+# Largest gap, in units in the last place, between the two evaluation orders
+# of the statistic = profile deviation + constant identity.
+EQUIVALENCE_TOLERANCE_ULP = 8.0
+
+
 @dataclass(frozen=True)
 class EquivalenceResult:
     """Auxiliary-adjusted statistic decomposed as deviation plus constant."""
@@ -263,7 +268,7 @@ class EquivalenceResult:
 
     @property
     def ok(self) -> bool:
-        return self.gap_ulp <= 8.0
+        return self.gap_ulp <= EQUIVALENCE_TOLERANCE_ULP
 
 
 def equivalence_check(
@@ -273,7 +278,8 @@ def equivalence_check(
 
     Both sides use the same known X mean. The two evaluation orders differ
     only by rounding, so the gap is measured in units in the last place at
-    the scale of the terms involved and must stay at or below 8.
+    the scale of the terms involved and must stay at or below
+    ``EQUIVALENCE_TOLERANCE_ULP``.
     """
     if profile.b0 != model.beta():
         raise MismatchedSlope(

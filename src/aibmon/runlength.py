@@ -136,6 +136,11 @@ class SimulationConfig:
                 f"> {self.rl_cap}"
             )
         check_u64("master_seed", self.master_seed)
+        # A mean that overflows to inf makes a NaN statistic that never
+        # signals, so every replication would run to rl_cap.
+        means = shifted_means(self.model, self.scenario)
+        if not np.isfinite(means).all():
+            raise ValueError(f"shifted means (mu_y1, mu_x1) must be finite, got {means}")
 
 
 def _subgroup_statistics(

@@ -196,9 +196,9 @@ def check_u64(name: str, value) -> None:
         raise ValueError(f"{name} must be an unsigned 64-bit integer")
 
 
-# numpy's SeedSequence hash (pool size 4) on 32-bit words. Each hashmix call
-# consumes the next multiplier of a fixed sequence, so the constants of every
-# call can be listed up front.
+# numpy's SeedSequence hash (pool size 4) on 32-bit words, for mixing spawn
+# words into the pool. Each hashmix call consumes the next multiplier of a
+# fixed sequence, so the constants of every call can be listed up front.
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -216,8 +216,9 @@ def _hash_constants(start: int, mult: int, calls: int) -> list[tuple[int, int]]:
     return consts
 
 
-# Pool fill, pairwise pool mixing, then up to two spawn-index words.
-_MIX_CONSTS = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + 2))
+# Pool fill (4 calls) and pairwise pool mixing (12) come first, then up to two
+# spawn-index words of 4 calls each.
+_SPAWN_CONSTS = _hash_constants(_INIT_A, _MULT_A, 24)[16:]
 _OUT_CONSTS = _hash_constants(_INIT_B, _MULT_B, _POOL_SIZE)
 
 
@@ -240,21 +241,12 @@ def _mix(x, y):
 
 @functools.lru_cache(maxsize=16)
 def _seed_pool(master_seed: int) -> tuple[int, ...]:
-    """Entropy pool after the master seed's words are mixed in.
+    """numpy's entropy pool for ``master_seed``, as Python ints.
 
-    With a spawn key, numpy pads the seed's little-endian 32-bit words with
-    zeros to the pool size; a seed below 2**64 has at most two words.
+    numpy mixes a spawn key's words in only after this pool is built (for a
+    seed of at most four 32-bit words), so ``_state_words`` goes on from it.
     """
-    consts = iter(_MIX_CONSTS)
-    pool = [
-        _hashmix((master_seed >> (32 * k)) & _MASK32, next(consts))
-        for k in range(_POOL_SIZE)
-    ]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(consts)))
-    return tuple(pool)
+    return tuple(np.random.SeedSequence(master_seed).pool.tolist())
 
 
 def _state_words(pool, spawn_words) -> list:
@@ -262,7 +254,7 @@ def _state_words(pool, spawn_words) -> list:
 
     Works elementwise on uint32 arrays of spawn words.
     """
-    consts = iter(_MIX_CONSTS[_POOL_SIZE * _POOL_SIZE :])
+    consts = iter(_SPAWN_CONSTS)
     for word in spawn_words:
         pool = [_mix(p, _hashmix(word, next(consts))) for p in pool]
     return [_hashmix(p, c) for p, c in zip(pool, _OUT_CONSTS)]
@@ -302,9 +294,9 @@ def shifted_means(model: ProcessModel, scenario: ShiftScenario) -> tuple[float, 
     root_n = math.sqrt(model.n)
     mu_y1 = model.mu_y0 + scenario.delta_y * model.sigma_y / root_n
     if scenario.mode is ShiftMode.MASKING:
-        if model.rho == 0.0:
+        if model.beta() == 0.0:
             raise MaskingWithZeroCorrelation(
-                "masking-coupled shift undefined at rho = 0 (beta = 0)"
+                f"masking-coupled shift undefined at beta = 0 (rho = {model.rho!r})"
             )
         mu_x1 = model.mu_x0 + scenario.delta_y * model.sigma_y / (model.beta() * root_n)
     else:

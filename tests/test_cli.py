@@ -8,7 +8,6 @@ import pytest
 
 from aibmon import cli, oracles, runlength
 from aibmon.cli import main
-from aibmon.runlength import usable_cpus
 
 
 def run(capsys, *argv):
@@ -73,11 +72,14 @@ def test_simulate_same_flags_same_bytes(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flags",
     [["--delta-y", "nan"], ["--delta-x", "inf"], ["--L", "inf"], ["--L", "nan"],
-     ["--mu-y0", "nan"], ["--mu-x0=-inf"], ["--sigma-y", "inf"]],
+     ["--mu-y0", "nan"], ["--mu-x0=-inf"], ["--sigma-y", "inf"],
+     ["--sigma-x", "10", "--delta-x", "1e308", "--rho", "0"],
+     ["--mode", "masking", "--delta-y", "1e300", "--rho", "1e-10"]],
 )
-def test_simulate_rejects_non_finite_parameters(capsys, flags):
+def test_simulate_rejects_non_finite_parameters(capsys, monkeypatch, flags):
     # Rejected up front: a chart that can never signal would otherwise burn
     # rl_cap subgroups per replication and then exit 3.
+    monkeypatch.setattr(cli, "estimate_runlength", _study_must_not_run)
     code, _, err = run(
         capsys, "simulate", "--chart", "ewma", "--L", "2.454", "--rho", "0.5",
         "--reps", "20", "--rl-cap", "1000", *flags,
@@ -395,14 +397,15 @@ def test_table1_refuses_unwritable_out_before_the_study(tmp_path, capsys, monkey
 
 
 def test_mask_demo_writes_csvs(tmp_path, capsys):
+    out_dir = tmp_path / "new" / "demo"  # made by the command
     code, stdout, _ = run(
         capsys,
         "mask-demo", "--rho", "0.5", "--delta-y", "2",
-        "--reps", "2000", "--seed", "0", "--out-dir", str(tmp_path),
+        "--reps", "2000", "--seed", "0", "--out-dir", str(out_dir),
     )
     assert code == 0
-    trace_lines = (tmp_path / "trace.csv").read_text().splitlines()
-    scatter_lines = (tmp_path / "scatter.csv").read_text().splitlines()
+    trace_lines = (out_dir / "trace.csv").read_text().splitlines()
+    scatter_lines = (out_dir / "scatter.csv").read_text().splitlines()
     assert trace_lines[0] == "t,zbar_x,zbar_y,z,w,lcl,ucl,signal,regime"
     assert scatter_lines[0] == "t,x_bar,y_bar,regime"
     assert len(trace_lines) == 201 and len(scatter_lines) == 201
@@ -432,6 +435,20 @@ def test_mask_demo_refuses_unusable_out_dir_before_the_study(tmp_path, capsys, m
     assert str(out_dir) in err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--rho", "0"], "beta = 0"),
+    (["--rho", "0.5", "--changepoint", "300", "--n-subgroups", "10"], "changepoint"),
+    (["--rho", "0.5", "--changepoint", "2", "--n-subgroups", "10", "--reps", "0"], "reps"),
+])
+def test_refused_mask_demo_creates_no_directory(tmp_path, capsys, flags, message):
+    out_dir = tmp_path / "fresh" / "demo"
+    code, stdout, err = run(capsys, "mask-demo", "--delta-y", "2", *flags,
+                            "--out-dir", str(out_dir))
+    assert code == 2 and stdout == ""
+    assert message in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_mask_demo_rejects_zero_rho(capsys):
     code, _, err = run(capsys, "mask-demo", "--rho", "0", "--delta-y", "2",
                        "--reps", "100")
@@ -456,23 +473,12 @@ def test_profile_equiv_rejects_no_trials(capsys, trials):
     assert "trials" in err
 
 
-def test_threads_env_var_fallback(tmp_path, capsys, monkeypatch):
-    argv = ["simulate", "--chart", "shewhart", "--L", "2.807",
-            "--reps", "1500", "--seed", "13"]
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(argv + ["--out", str(a)]) == 0
-    monkeypatch.setenv("AIBMON_THREADS", "4")
-    assert main(argv + ["--out", str(b)]) == 0
-    capsys.readouterr()
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_threads_default_to_the_usable_cpus(monkeypatch):
-    monkeypatch.delenv("AIBMON_THREADS", raising=False)
-    assert cli._resolve_threads(None) == usable_cpus()
-    monkeypatch.setenv("AIBMON_THREADS", "1")
-    assert cli._resolve_threads(None) == 1
-    assert cli._resolve_threads(3) == 3
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 3)
+    parser, _ = cli._build_parser()
+    for argv in (["simulate"], ["table1"], ["mask-demo", "--rho", "0.5", "--delta-y", "1"]):
+        assert parser.parse_args(argv).threads == 3
+        assert parser.parse_args(argv + ["--threads", "1"]).threads == 1
 
 
 # ------------------------------------------------------------------- help
@@ -497,22 +503,16 @@ def test_simulate_help_documents_units_and_defaults(capsys):
     assert "200" in out
 
 
-@pytest.mark.parametrize("flag, env", [("0", None), ("-3", None), (None, "-2"), (None, "0"),
-                                       (None, "abc"), (None, " ")])
-def test_threads_below_one_rejected(capsys, monkeypatch, flag, env):
-    argv = ["simulate", "--chart", "shewhart", "--L", "2.807", "--reps", "50"]
-    if flag is not None:
-        argv += ["--threads", flag]
-    if env is not None:
-        monkeypatch.setenv("AIBMON_THREADS", env)
-    else:
-        monkeypatch.delenv("AIBMON_THREADS", raising=False)
-    code, stdout, err = run(capsys, *argv)
-    assert code == 2
-    assert stdout == ""
-    assert "thread" in err
-    if env is not None:
-        assert "AIBMON_THREADS" in err and repr(env) in err
+@pytest.mark.parametrize("flag", ["0", "-3", "abc"])
+def test_threads_below_one_rejected(capsys, monkeypatch, flag):
+    monkeypatch.setattr(cli, "estimate_runlength", _study_must_not_run)
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--chart", "shewhart", "--L", "2.807", "--reps", "50",
+              "--threads", flag])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--threads" in captured.err and repr(flag) in captured.err
 
 
 # ---------------------------------------------------------------- imports

@@ -7,6 +7,7 @@ from scipy.stats import ks_2samp
 from aibmon import experiments
 from aibmon import (
     ChartKind,
+    MaskingWithZeroCorrelation,
     MismatchedSlope,
     PairedSample,
     ProcessModel,
@@ -112,6 +113,18 @@ def test_masking_demo_rejects_trace_ending_before_the_shift(monkeypatch):
                 rho=0.5, delta_y=1.0, lam=0.1, limit_multiplier=2.454,
                 n_subgroups=10, changepoint=changepoint,
             )
+
+
+def test_masking_demo_checks_its_arguments_before_the_trace(monkeypatch):
+    def no_trace(*args, **kwargs):
+        raise AssertionError("trace ran")
+
+    monkeypatch.setattr(experiments, "trace", no_trace)
+    with pytest.raises(ValueError, match="reps"):
+        masking_demo(rho=0.5, delta_y=1.0, lam=0.1, limit_multiplier=2.454,
+                     counterfactual_reps=0)
+    with pytest.raises(MaskingWithZeroCorrelation):
+        masking_demo(rho=0.0, delta_y=1.0, lam=0.1, limit_multiplier=2.454)
 
 
 def test_masking_demo_trace_reaches_a_shift_at_its_last_subgroup():

@@ -17,6 +17,7 @@ from aibmon import (
     ChartKind,
     ChartSpec,
     ExcessCensoring,
+    MaskingWithZeroCorrelation,
     ProcessModel,
     ShiftMode,
     ShiftScenario,
@@ -767,6 +768,22 @@ def test_config_rejects_non_integer_counts(field, value):
     spec = make_limits(ChartKind.SHEWHART, 1.0, 2.807, model)
     with pytest.raises(ValueError, match=field):
         SimulationConfig(model, ShiftScenario(), spec, **{field: value})
+
+
+@pytest.mark.parametrize(
+    "model, scenario, error",
+    [(ProcessModel(0.0, 0.0, 1.0, 10.0, 0.0), ShiftScenario(delta_x=1e308), ValueError),
+     (ProcessModel.standard(1e-10), ShiftScenario(delta_y=1e300, mode=ShiftMode.MASKING),
+      ValueError),
+     (ProcessModel.standard(0.0), ShiftScenario(delta_y=1.0, mode=ShiftMode.MASKING),
+      MaskingWithZeroCorrelation)],
+)
+def test_config_rejects_an_undefined_shifted_regime(model, scenario, error):
+    # An infinite shifted mean makes a NaN statistic that never signals, so
+    # every replication would run to rl_cap: caught here, before any work.
+    spec = make_limits(ChartKind.EWMA, 0.1, 2.454, model)
+    with pytest.raises(error, match="finite|beta = 0"):
+        SimulationConfig(model, scenario, spec)
 
 
 # --------------------------------------------------------------------- trace

@@ -151,6 +151,10 @@ def test_masking_requires_nonzero_correlation():
     sc = ShiftScenario(delta_y=1.0, mode=ShiftMode.MASKING)
     with pytest.raises(MaskingWithZeroCorrelation):
         shifted_means(standard(0.0), sc)
+    # rho != 0, but beta underflows to 0: refused, not a ZeroDivisionError.
+    tiny = ProcessModel(mu_y0=0.0, mu_x0=0.0, sigma_y=0.1, sigma_x=10.0, rho=5e-324)
+    with pytest.raises(MaskingWithZeroCorrelation):
+        shifted_means(tiny, sc)
 
 
 def test_independent_shift_in_raw_units():
