@@ -4,8 +4,9 @@ The plotted statistic is the difference estimator of the Y mean; the
 classical Shewhart/EWMA charts are the rho = 0 special case. Limits are
 symmetric about the in-control Y mean with half-width proportional to the
 standard deviation of the plotted statistic, sqrt(1 - rho^2) * sigma_y /
-sqrt(n); the EWMA chart additionally carries the stationary variance
-factor lambda / (2 - lambda) (fixed asymptotic limits, no time index).
+sqrt(n), times the square root of the EWMA stationary variance factor
+lambda / (2 - lambda) (fixed asymptotic limits, no time index). A Shewhart
+chart is the lambda = 1 chart, whose factor is exactly 1.
 ``ewma_path`` is the one implementation of the recursion and of the
 signal rule; the run-length engine and ``trace`` both call it.
 """
@@ -79,8 +80,7 @@ def make_limits(
         lam = 1.0
     spec = ChartSpec(kind, lam, limit_multiplier, center=model.mu_y0, half_width=0.0)
     base = model.sigma_y * math.sqrt(1.0 - model.rho**2) / math.sqrt(model.n)
-    if kind is ChartKind.EWMA:
-        base *= math.sqrt(lam / (2.0 - lam))
+    base *= math.sqrt(lam / (2.0 - lam))
     return dataclasses.replace(spec, half_width=limit_multiplier * base)
 
 

@@ -154,10 +154,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     kind = ChartKind(args.chart)
-    lam = 1.0 if kind is ChartKind.SHEWHART else args.lam
-    if lam is None:
+    if kind is ChartKind.EWMA and args.lam is None:
         raise ValueError("--lambda is required for an EWMA chart")
-    limit, achieved = _calibrate(kind, lam, args.target_arl0)
+    limit, achieved = _calibrate(kind, args.lam, args.target_arl0)
     method = "analytic" if kind is ChartKind.SHEWHART else "markov"
     print(f"L {limit:.6f} method {method} achieved_arl0 {achieved:.3f}")
     return 0

@@ -136,9 +136,9 @@ def ewma_arl_markov(lam: float, L: float, s: float, n_states: int = 401) -> floa
 def calibrate_limit(kind: ChartKind, lam: float, target_arl0: float) -> float:
     """Limit multiplier whose in-control ARL equals ``target_arl0``.
 
-    Shewhart is analytic: L = Phi^-1(1 - 1 / (2 * target)). EWMA brackets
-    the 401-state Markov-chain ARL in L and solves by Brent's method to
-    |ARL - target| < 0.1.
+    Shewhart is analytic, L = Phi^-1(1 - 1 / (2 * target)), and does not
+    read ``lam``. EWMA brackets the 401-state Markov-chain ARL in L and
+    solves by Brent's method to |ARL - target| < 0.1.
     """
     return _calibrate(kind, lam, target_arl0)[0]
 

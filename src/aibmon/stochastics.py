@@ -404,8 +404,8 @@ class SubgroupStream:
 
 def pairs_from_normals(
     model: ProcessModel,
-    mu_y: float,
-    mu_x: float,
+    mu_y: float | np.ndarray,
+    mu_x: float | np.ndarray,
     zx: np.ndarray,
     ze: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -413,7 +413,9 @@ def pairs_from_normals(
 
     Shared by the scalar and block-vectorized paths so both produce
     bit-identical values from the same normals; broadcasts over any leading
-    axes. Computes y = (mu_y + (rho*sigma_y)*zx) + (sigma_y*sqrt(1-rho^2))*ze
+    axes. The means may be arrays that broadcast against ``zx``, such as
+    one mean per subgroup of a (rows, count, n) block as a (count, 1)
+    column. Computes y = (mu_y + (rho*sigma_y)*zx) + (sigma_y*sqrt(1-rho^2))*ze
     in that order, in place on its own temporaries; ``zx`` and ``ze`` are
     not written.
     """

@@ -331,6 +331,14 @@ def test_calibrate_shewhart(capsys):
     assert "analytic" in stdout
 
 
+def test_calibrate_shewhart_ignores_lambda(capsys):
+    # Shewhart is the lambda = 1 chart; a given --lambda does not change it.
+    _, plain, _ = run(capsys, "calibrate", "--chart", "shewhart", "--target-arl0", "200")
+    code, with_lam, _ = run(capsys, "calibrate", "--chart", "shewhart",
+                            "--lambda", "0.3", "--target-arl0", "200")
+    assert code == 0 and with_lam == plain
+
+
 def test_calibrate_ewma(capsys):
     code, stdout, _ = run(capsys, "calibrate", "--chart", "ewma",
                           "--lambda", "0.05", "--target-arl0", "200")

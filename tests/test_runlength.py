@@ -664,10 +664,13 @@ def scalar_walk(config, key, n_subgroups):
         yield t, m.x_bar, m.y_bar, z, w, abs(w - spec.center) > spec.half_width
 
 
-def test_run_to_signal_matches_scalar_chart_walk():
+# The shift at subgroup 0, inside the first 16-subgroup slice, on either
+# side of that slice's edge, and inside the second round of 128 subgroups.
+@pytest.mark.parametrize("changepoint", [0, 4, 15, 16, 17, 70])
+def test_run_to_signal_matches_scalar_chart_walk(changepoint):
     # Engine values replicate the sample_subgroup -> statistic -> EWMA path.
     model = ProcessModel(0.2, -0.4, 1.1, 0.9, rho=0.55, n=3)
-    scenario = ShiftScenario(delta_y=0.8, delta_x=0.2, changepoint=4)
+    scenario = ShiftScenario(delta_y=0.8, delta_x=0.2, changepoint=changepoint)
     spec = make_limits(ChartKind.EWMA, 0.2, 2.636, model)
     config = SimulationConfig(model, scenario, spec, reps=6, master_seed=41)
     rl = simulate_run_lengths(config)
