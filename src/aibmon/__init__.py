@@ -45,6 +45,7 @@ from .experiments import (
     reproduce_table1,
 )
 from .oracles import (
+    analytic_arl,
     calibrate_limit,
     ewma_arl_markov,
     shewhart_arl_exact,
@@ -97,6 +98,7 @@ __all__ = [
     "Table1Cell",
     "TracePoint",
     "ZeroPopulationMean",
+    "analytic_arl",
     "calibrate_limit",
     "difference_estimate",
     "equivalence_check",

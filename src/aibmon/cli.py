@@ -24,7 +24,7 @@ from .experiments import (
     table1_csv_lines,
     trace_csv_lines,
 )
-from .oracles import _calibrate, calibrate_limit
+from .oracles import calibrate_limit
 from .oracles import ewma_arl_markov  # noqa: F401  (bench/layers.py hooks this name)
 from .runlength import (
     PERCENTILE_LEVELS,
@@ -124,7 +124,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         _check_writable(Path(args.out))
     limit = args.L
     if limit is None:
-        limit = calibrate_limit(kind, args.lam, args.target_arl0)
+        limit, _ = calibrate_limit(kind, args.lam, args.target_arl0)
     model = ProcessModel(mu_y0=args.mu_y0, mu_x0=args.mu_x0, sigma_y=args.sigma_y,
                          sigma_x=args.sigma_x, rho=args.rho, n=args.n)
     scenario = ShiftScenario(delta_y=args.delta_y, delta_x=args.delta_x,
@@ -156,7 +156,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     kind = ChartKind(args.chart)
     if kind is ChartKind.EWMA and args.lam is None:
         raise ValueError("--lambda is required for an EWMA chart")
-    limit, achieved = _calibrate(kind, args.lam, args.target_arl0)
+    limit, achieved = calibrate_limit(kind, args.lam, args.target_arl0)
     method = "analytic" if kind is ChartKind.SHEWHART else "markov"
     print(f"L {limit:.6f} method {method} achieved_arl0 {achieved:.3f}")
     return 0

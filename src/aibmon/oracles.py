@@ -133,18 +133,30 @@ def ewma_arl_markov(lam: float, L: float, s: float, n_states: int = 401) -> floa
     return arl
 
 
-def calibrate_limit(kind: ChartKind, lam: float, target_arl0: float) -> float:
-    """Limit multiplier whose in-control ARL equals ``target_arl0``.
+def analytic_arl(config) -> float:
+    """ARL of the study a ``runlength.SimulationConfig`` describes.
+
+    The Shewhart run length has no memory, so its ARL holds at any
+    changepoint. The engine carries the EWMA state through the subgroups
+    before the changepoint, so the zero-state Markov ARL holds only at
+    changepoint 0; any other raises ``ValueError``.
+    """
+    spec, s = config.spec, standardized_shift(config.model, config.scenario)
+    if spec.kind is ChartKind.SHEWHART:
+        return shewhart_arl_exact(spec.limit_multiplier, s)
+    if config.scenario.changepoint:
+        raise ValueError("the EWMA oracle is zero-state and needs changepoint 0")
+    return ewma_arl_markov(spec.lam, spec.limit_multiplier, s)
+
+
+def calibrate_limit(kind: ChartKind, lam: float, target_arl0: float) -> tuple[float, float]:
+    """Limit multiplier L whose in-control ARL is ``target_arl0``, and that ARL.
 
     Shewhart is analytic, L = Phi^-1(1 - 1 / (2 * target)), and does not
     read ``lam``. EWMA brackets the 401-state Markov-chain ARL in L and
-    solves by Brent's method to |ARL - target| < 0.1.
+    solves by Brent's method to |ARL - target| < 0.1; the ARL returned is
+    the one solved at L.
     """
-    return _calibrate(kind, lam, target_arl0)[0]
-
-
-def _calibrate(kind: ChartKind, lam: float, target_arl0: float) -> tuple[float, float]:
-    """``calibrate_limit``'s L and the in-control ARL already solved there."""
     if not 1.0 < target_arl0 < math.inf:
         raise ValueError("target in-control ARL must be finite and exceed 1")
     if kind is ChartKind.SHEWHART:

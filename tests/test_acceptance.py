@@ -18,14 +18,12 @@ from aibmon import (
     ShiftScenario,
     SimulationConfig,
     StreamKey,
+    analytic_arl,
     calibrate_limit,
     estimate_runlength,
-    ewma_arl_markov,
     make_limits,
     mean_estimate,
     profile_equivalence_trials,
-    shewhart_arl_exact,
-    standardized_shift,
 )
 from aibmon.cli import main
 from aibmon.estimators import SampleMoments, difference_estimate
@@ -98,33 +96,32 @@ def test_criterion_2_in_control_design_point():
 
 def test_criterion_3_oracle_agreement(table1_run):
     _, rows = table1_run
-    worst_shew = 0.0
-    worst_ewma = 0.0
+    worst = {"shewhart": 0.0, "ewma": 0.0}
     for r in rows:
         model = ProcessModel.standard(float(r["rho"]))
-        s = standardized_shift(model, ShiftScenario(delta_x=float(r["delta_x"])))
-        arl, se = float(r["arl"]), float(r["se"])
-        if r["chart"] == "shewhart":
-            exact = shewhart_arl_exact(float(r["L"]), s)
-            worst_shew = max(worst_shew, abs(arl - exact) / (3 * se))
-        else:
-            markov = ewma_arl_markov(float(r["lambda"]), float(r["L"]), s, 401)
-            worst_ewma = max(worst_ewma, abs(arl - markov) / markov)
+        config = SimulationConfig(
+            model=model,
+            scenario=ShiftScenario(delta_x=float(r["delta_x"])),
+            spec=make_limits(ChartKind(r["chart"]), float(r["lambda"]),
+                             float(r["L"]), model),
+        )
+        gap = abs(float(r["arl"]) - analytic_arl(config)) / float(r["se"])
+        worst[r["chart"]] = max(worst[r["chart"]], gap)
     report(
-        "criterion 3: MC vs closed form within 3 SE (Shewhart) and vs "
-        "Markov-401 within 2% (EWMA)",
-        worst_shew <= 1.0 and worst_ewma <= 0.02,
-        f"worst Shewhart gap {worst_shew:.2f}x3SE, worst EWMA gap "
-        f"{100 * worst_ewma:.2f}%",
+        "criterion 3: MC within 3 SE of the analytic ARL (closed form for "
+        "Shewhart, Markov-401 for EWMA)",
+        max(worst.values()) <= 3.0,
+        f"worst Shewhart gap {worst['shewhart']:.2f} SE, worst EWMA gap "
+        f"{worst['ewma']:.2f} SE",
     )
 
 
 def test_criterion_4_calibration_recovery():
-    L_s = calibrate_limit(ChartKind.SHEWHART, 1.0, 200.0)
+    L_s, _ = calibrate_limit(ChartKind.SHEWHART, 1.0, 200.0)
     ok = abs(L_s - 2.807) < 1e-3
     gaps = [abs(L_s - 2.807)]
     for lam, published in EWMA_DESIGNS:
-        L_e = calibrate_limit(ChartKind.EWMA, lam, 200.0)
+        L_e, _ = calibrate_limit(ChartKind.EWMA, lam, 200.0)
         gaps.append(abs(L_e - published))
         ok = ok and abs(L_e - published) <= 0.02
     report(

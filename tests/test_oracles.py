@@ -15,11 +15,15 @@ from aibmon import (
     ProcessModel,
     ShiftMode,
     ShiftScenario,
+    SimulationConfig,
+    analytic_arl,
     calibrate_limit,
     ewma_arl_markov,
+    make_limits,
     shewhart_arl_exact,
     standardized_shift,
 )
+from aibmon.experiments import table1_grid
 
 # Published design points: (lambda, limit) pairs calibrated to ARL0 = 200.
 EWMA_DESIGNS = [(0.05, 2.216), (0.10, 2.454), (0.20, 2.636), (0.50, 2.777)]
@@ -246,21 +250,60 @@ def test_markov_at_lambda_one_is_shewhart(L, s, n_states):
     )
 
 
+# ------------------------------------------------------- oracle for a config
+
+
+def study(kind, lam, limit, rho, **scenario):
+    model = ProcessModel.standard(rho)
+    return SimulationConfig(model, ShiftScenario(**scenario),
+                            make_limits(kind, lam, limit, model))
+
+
+def test_analytic_arl_is_its_parts_on_every_table1_cell():
+    for rho, delta_x, kind, lam, limit, _ in table1_grid():
+        config = study(kind, lam, limit, rho, delta_x=delta_x)
+        s = standardized_shift(config.model, config.scenario)
+        if kind is ChartKind.SHEWHART:
+            parts = shewhart_arl_exact(limit, s)
+        else:
+            parts = ewma_arl_markov(lam, limit, s)
+        assert analytic_arl(config) == parts
+
+
+@pytest.mark.parametrize("rho", [-0.75, 0.25, 0.5, 0.9])
+@pytest.mark.parametrize(
+    "kind, lam, limit", [(ChartKind.SHEWHART, 1.0, 2.807), (ChartKind.EWMA, 0.1, 2.454)]
+)
+def test_analytic_arl_of_a_masked_shift_is_the_in_control_arl(kind, lam, limit, rho):
+    masked = study(kind, lam, limit, rho, delta_y=1.5, mode=ShiftMode.MASKING)
+    assert analytic_arl(masked) == analytic_arl(study(kind, lam, limit, rho))
+
+
+def test_analytic_arl_refuses_an_ewma_changepoint():
+    # The engine's EWMA enters the shift with the state its in-control
+    # subgroups left, not at the center: not the zero-state chain's ARL.
+    config = study(ChartKind.EWMA, 0.1, 2.454, 0.0, delta_y=1.0, changepoint=50)
+    with pytest.raises(ValueError, match="changepoint"):
+        analytic_arl(config)
+
+
 # --------------------------------------------------------------- calibration
 
 
 def test_shewhart_calibration_is_analytic():
-    L = calibrate_limit(ChartKind.SHEWHART, 1.0, 200.0)
+    L, arl0 = calibrate_limit(ChartKind.SHEWHART, 1.0, 200.0)
     assert L == pytest.approx(2.8070337683438042, rel=1e-12)
     assert abs(L - 2.807) < 1e-3
-    assert shewhart_arl_exact(L, 0.0) == pytest.approx(200.0, rel=1e-12)
+    assert arl0 == shewhart_arl_exact(L, 0.0)
+    assert arl0 == pytest.approx(200.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("lam,published", EWMA_DESIGNS)
 def test_ewma_calibration_recovers_published_limits(lam, published):
-    L = calibrate_limit(ChartKind.EWMA, lam, 200.0)
+    L, arl0 = calibrate_limit(ChartKind.EWMA, lam, 200.0)
     assert L == pytest.approx(published, abs=0.02)
-    assert ewma_arl_markov(lam, L, 0.0) == pytest.approx(200.0, abs=0.1)
+    assert arl0 == ewma_arl_markov(lam, L, 0.0)
+    assert arl0 == pytest.approx(200.0, abs=0.1)
 
 
 def test_calibration_solves_each_limit_once(monkeypatch):
@@ -292,7 +335,7 @@ def test_calibration_bracket_walks_down_from_two(monkeypatch, target, first):
         return ewma_arl_markov(lam, L, s, n_states)
 
     monkeypatch.setattr(oracles, "ewma_arl_markov", counting)
-    L = calibrate_limit(ChartKind.EWMA, 0.5, target)
+    L, _ = calibrate_limit(ChartKind.EWMA, 0.5, target)
     assert solved[: len(first)] == first
     assert ewma_arl_markov(0.5, L, 0.0) == pytest.approx(target, abs=0.1)
 
@@ -314,7 +357,7 @@ def test_calibration_round_trip_through_simulation():
     )
 
     lam = 0.3
-    L = calibrate_limit(ChartKind.EWMA, lam, 200.0)
+    L, _ = calibrate_limit(ChartKind.EWMA, lam, 200.0)
     model = ProcessModel.standard(0.5)
     config = SimulationConfig(
         model=model,
@@ -447,8 +490,8 @@ def test_brent_gives_up_after_maxiter_as_brentq(maxiter):
 @pytest.mark.parametrize("target", [1.5, 5.0, 200.0, 1e4])
 def test_calibration_matches_brentq_bit_for_bit(monkeypatch, lam, target):
     # At lam = 0.5, targets 1.5 and 5 walk the bracket down from L = 2.
-    ours = oracles._calibrate(ChartKind.EWMA, lam, target)
+    ours = oracles.calibrate_limit(ChartKind.EWMA, lam, target)
     monkeypatch.setattr(
         oracles, "_brent", lambda f, a, b, xtol: brentq(f, a, b, xtol=xtol)
     )
-    assert repr(oracles._calibrate(ChartKind.EWMA, lam, target)) == repr(ours)
+    assert repr(oracles.calibrate_limit(ChartKind.EWMA, lam, target)) == repr(ours)

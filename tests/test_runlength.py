@@ -23,10 +23,9 @@ from aibmon import (
     ShiftScenario,
     SimulationConfig,
     StreamKey,
+    analytic_arl,
     estimate_runlength,
     make_limits,
-    shewhart_arl_exact,
-    standardized_shift,
     trace,
 )
 from aibmon import estimators, runlength, sample_subgroup, shifted_means
@@ -72,7 +71,7 @@ def test_in_control_shewhart_run_length_is_geometric():
     # ARL within 3 SE of the closed form and SDRL/ARL near sqrt(1 - p).
     config = shewhart_config(reps=50_000, seed=11)
     s = estimate_runlength(config)
-    exact = shewhart_arl_exact(2.807, 0.0)
+    exact = analytic_arl(config)
     assert abs(s.arl - exact) < 3 * s.se_arl
     p = 1.0 / exact
     assert s.sdrl / s.arl == pytest.approx(math.sqrt(1 - p), rel=0.03)
@@ -84,16 +83,18 @@ def test_in_control_shewhart_run_length_is_geometric():
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(rho=st.floats(-0.9, 0.9), delta_x=st.floats(-1.0, 1.0), L=st.floats(1.5, 2.5),
-       seed=st.integers(0, 2**32))
-def test_shewhart_arl_matches_closed_form_over_random_cells(rho, delta_x, L, seed):
+       changepoint=st.integers(0, 40), seed=st.integers(0, 2**32))
+def test_shewhart_arl_matches_closed_form_over_random_cells(rho, delta_x, L, changepoint,
+                                                           seed):
     # 4 standard errors of the exact geometric law, sd sqrt(1 - p) / p, so
-    # the bound does not lean on the sample's own spread.
+    # the bound does not lean on the sample's own spread. The law holds at
+    # every changepoint: a Shewhart run length has no memory.
     reps = 2000
     model = ProcessModel.standard(rho)
-    scenario = ShiftScenario(delta_x=delta_x)
+    scenario = ShiftScenario(delta_x=delta_x, changepoint=changepoint)
     config = SimulationConfig(model, scenario, make_limits(ChartKind.SHEWHART, 1.0, L, model),
                               reps=reps, master_seed=seed)
-    exact = shewhart_arl_exact(L, standardized_shift(model, scenario))
+    exact = analytic_arl(config)
     p = 1.0 / exact
     se = math.sqrt(1.0 - p) / p / math.sqrt(reps)
     assert abs(estimate_runlength(config, threads=1).arl - exact) < 4.0 * se
@@ -321,6 +322,8 @@ def test_workers_exit_at_eof():
             deadline = time.monotonic() + 5
             while len(statuses) < len(workers) and time.monotonic() < deadline:
                 for pid, _, _ in workers:
+                    if pid in statuses:  # reaped already: waitpid would raise
+                        continue
                     done, status = os.waitpid(pid, os.WNOHANG)
                     if done:
                         statuses[pid] = status
