@@ -3,8 +3,8 @@
 Estimators that sharpen the process-mean estimate with a correlated
 auxiliary variable, the Shewhart/EWMA charts built on them, a reproducible
 Monte Carlo run-length engine, and analytic oracles that cross-check it —
-including the studies showing how a drifting auxiliary mean inflates false
-alarms or masks real shifts.
+including the studies showing how a step shift in the auxiliary mean
+inflates false alarms or masks real shifts.
 """
 
 from .charts import ChartKind, ChartSpec, make_limits
@@ -15,7 +15,6 @@ from .errors import (
     ExcessCensoring,
     InvalidLambda,
     MaskingWithZeroCorrelation,
-    MismatchedSlope,
     NoBracket,
     SingularSystem,
     SubgroupTooSmall,
@@ -36,7 +35,6 @@ from .estimators import (
 from .experiments import (
     EquivalenceResult,
     MaskingDemo,
-    ProfileModel,
     Table1Cell,
     equivalence_check,
     masking_demo,
@@ -82,11 +80,9 @@ __all__ = [
     "InvalidLambda",
     "MaskingDemo",
     "MaskingWithZeroCorrelation",
-    "MismatchedSlope",
     "NoBracket",
     "PairedSample",
     "ProcessModel",
-    "ProfileModel",
     "RunLengthSummary",
     "SampleMoments",
     "ShiftMode",

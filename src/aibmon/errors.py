@@ -39,7 +39,3 @@ class SingularSystem(AibmonError):
 
 class NoBracket(AibmonError):
     """Limit calibration could not bracket the target in-control ARL."""
-
-
-class MismatchedSlope(AibmonError):
-    """Profile slope must equal the process regression coefficient beta."""

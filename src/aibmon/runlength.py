@@ -8,12 +8,14 @@ master seed no matter how replications are split into chunks or spread
 over worker processes.
 
 A study splits its replications into one contiguous share per worker, and
-each share into equal chunks of at most ``_CHUNK`` rows that run one after
-another. With more than one worker, the shares go to a pool of forked
-worker processes that lives as long as the interpreter: the first study
-that plans more than one worker forks it, a study that plans more grows
-it, and every later study reuses it over pipes, so a process pays the
-fork, the first-run page faults and the reaping once, not once per study.
+each share into equal chunks that run one after another. A chunk holds at
+most ``_CHUNK`` rows at n <= 2 and proportionally fewer at larger n, so a
+round's word block does not grow with the subgroup size. With more than
+one worker, the shares go to a pool of forked worker processes that lives
+as long as the interpreter: the first study that plans more than one
+worker forks it, a study that plans more grows it, and every later study
+reuses it over pipes, so a process pays the fork, the first-run page
+faults and the reaping once, not once per study.
 The engine is bound by single-threaded C calls (Philox words, the ``ndtri``
 decode) that hold the GIL, so threads would only queue behind each other.
 
@@ -60,6 +62,7 @@ from .stochastics import (
     pairs_from_normals,
     shifted_means,
     substream_keys,
+    words_per_subgroup,
 )
 
 PERCENTILE_LEVELS = (5, 25, 50, 75, 95)
@@ -249,8 +252,10 @@ def simulate_run_lengths(
 
 
 def _run_share(config: SimulationConfig, share: np.ndarray) -> np.ndarray:
-    """Run lengths of ``share``, in equal chunks of at most ``_CHUNK`` rows."""
-    chunks = np.array_split(share, -(-share.size // _CHUNK))
+    """Run lengths of ``share``, in equal chunks of at most ``_CHUNK`` rows at
+    n <= 2; larger subgroups get the same word budget in fewer rows."""
+    rows = max(1, _CHUNK * words_per_subgroup(1) // words_per_subgroup(config.model.n))
+    chunks = np.array_split(share, -(-share.size // rows))
     return np.concatenate([_chunk_run_lengths(config, c) for c in chunks])
 
 

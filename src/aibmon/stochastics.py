@@ -124,7 +124,7 @@ class ProcessModel:
             raise ValueError("sigma_y and sigma_x must be positive and finite")
         if not abs(self.rho) < 1:
             raise ValueError("need |rho| < 1 (degenerate correlation rejected)")
-        if not (isinstance(self.n, int) and self.n >= 1):
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise ValueError("subgroup size n must be an integer >= 1")
 
     def beta(self) -> float:
@@ -156,7 +156,8 @@ class ShiftScenario:
     def __post_init__(self):
         if not (math.isfinite(self.delta_y) and math.isfinite(self.delta_x)):
             raise ValueError("delta_y and delta_x must be finite")
-        if not (isinstance(self.changepoint, int) and self.changepoint >= 0):
+        cp = self.changepoint
+        if isinstance(cp, bool) or not isinstance(cp, int) or cp < 0:
             raise ValueError("changepoint must be an integer >= 0")
 
 
@@ -192,7 +193,7 @@ class StreamKey:
 
 def check_u64(name: str, value) -> None:
     """Reject anything but an unsigned 64-bit Python integer."""
-    if not (isinstance(value, int) and 0 <= value < _U64_MAX):
+    if isinstance(value, bool) or not (isinstance(value, int) and 0 <= value < _U64_MAX):
         raise ValueError(f"{name} must be an unsigned 64-bit integer")
 
 

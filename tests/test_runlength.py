@@ -40,6 +40,7 @@ from aibmon.stochastics import (
     normals_from_words,
     pairs_from_normals,
     substream_keys,
+    words_per_subgroup,
 )
 
 
@@ -578,8 +579,8 @@ def test_worker_and_chunk_plan(reps, requested, cpus, workers, chunks):
 
 
 def test_share_runs_in_chunks_of_at_most_chunk_rows(monkeypatch):
-    config = shewhart_config(rho=0.5, delta_x=1.0, reps=9001, seed=13)
-    serial = simulate_run_lengths(config, threads=1)
+    # At n = 1 a chunk holds at most _CHUNK rows. At n = 3 a subgroup takes
+    # twice the words, so a chunk holds at most half as many rows.
     calls = []
     chunk_run_lengths = runlength._chunk_run_lengths
 
@@ -588,11 +589,23 @@ def test_share_runs_in_chunks_of_at_most_chunk_rows(monkeypatch):
         return chunk_run_lengths(config, rep_indices)
 
     monkeypatch.setattr(runlength, "_chunk_run_lengths", spy)
-    rl = runlength._run_share(config, np.arange(9001, dtype=np.uint64))
-    assert [c.size for c in calls] == [3001, 3000, 3000]
-    assert all(c.size <= runlength._CHUNK for c in calls)
-    assert np.array_equal(np.concatenate(calls), np.arange(9001))
-    assert rl.tobytes() == serial.tobytes()
+    share = np.arange(9001, dtype=np.uint64)
+    for n, sizes in [(1, [3001, 3000, 3000]), (3, [1801, 1800, 1800, 1800, 1800])]:
+        model = ProcessModel.standard(0.5, n=n)
+        config = SimulationConfig(
+            model,
+            ShiftScenario(delta_x=1.0),
+            make_limits(ChartKind.SHEWHART, 1.0, 2.807, model),
+            reps=9001,
+            master_seed=13,
+        )
+        one_chunk = chunk_run_lengths(config, share)
+        calls.clear()
+        rl = runlength._run_share(config, share)
+        assert [c.size for c in calls] == sizes
+        assert all(c.size * words_per_subgroup(n) <= 4 * runlength._CHUNK for c in calls)
+        assert np.array_equal(np.concatenate(calls), share)
+        assert rl.tobytes() == one_chunk.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -729,7 +742,7 @@ def test_config_validation():
         SimulationConfig(model, ShiftScenario(), spec, reps=0)
     with pytest.raises(ValueError):
         SimulationConfig(model, ShiftScenario(), spec, reps=10, rl_cap=0)
-    for seed in (-1, 2**64):
+    for seed in (-1, 2**64, True):
         with pytest.raises(ValueError):
             SimulationConfig(model, ShiftScenario(), spec, reps=10, master_seed=seed)
 

@@ -42,6 +42,8 @@ def test_model_rejects_bad_parameters():
     with pytest.raises(ValueError):
         ProcessModel(0, 0, 1.0, 1.0, rho=0.5, n=0)
     with pytest.raises(ValueError):
+        ProcessModel(0, 0, 1.0, 1.0, rho=0.5, n=True)
+    with pytest.raises(ValueError):
         ProcessModel(math.nan, 0, 1.0, 1.0, rho=0.5)
     with pytest.raises(ValueError):
         ProcessModel(0, -math.inf, 1.0, 1.0, rho=0.5)
@@ -55,8 +57,9 @@ def test_beta_is_rho_sigma_ratio():
 
 
 def test_scenario_rejects_negative_changepoint():
-    with pytest.raises(ValueError):
-        ShiftScenario(changepoint=-1)
+    for changepoint in (-1, True):
+        with pytest.raises(ValueError):
+            ShiftScenario(changepoint=changepoint)
 
 
 @pytest.mark.parametrize(
@@ -72,6 +75,10 @@ def test_stream_key_rejects_out_of_range():
         StreamKey(-1, 0)
     with pytest.raises(ValueError):
         StreamKey(0, 2**64)
+    with pytest.raises(ValueError):
+        StreamKey(True, 0)
+    with pytest.raises(ValueError):
+        StreamKey(0, False)
 
 
 # ------------------------------------------------------------ substream keys
