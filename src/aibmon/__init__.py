@@ -11,25 +11,17 @@ from .charts import ChartKind, ChartSpec, make_limits
 from .errors import (
     AibmonError,
     DegenerateDesign,
-    DivisionByZeroMean,
     ExcessCensoring,
     InvalidLambda,
     MaskingWithZeroCorrelation,
     NoBracket,
     SingularSystem,
     SubgroupTooSmall,
-    ZeroPopulationMean,
 )
 from .estimators import (
-    EfficiencyInputs,
     SampleMoments,
     difference_estimate,
-    mean_estimate,
     moments,
-    product_estimate,
-    product_preferred,
-    ratio_estimate,
-    ratio_preferred,
     regression_estimate,
 )
 from .experiments import (
@@ -73,8 +65,6 @@ __all__ = [
     "ChartKind",
     "ChartSpec",
     "DegenerateDesign",
-    "DivisionByZeroMean",
-    "EfficiencyInputs",
     "EquivalenceResult",
     "ExcessCensoring",
     "InvalidLambda",
@@ -93,7 +83,6 @@ __all__ = [
     "SubgroupTooSmall",
     "Table1Cell",
     "TracePoint",
-    "ZeroPopulationMean",
     "analytic_arl",
     "calibrate_limit",
     "difference_estimate",
@@ -102,14 +91,9 @@ __all__ = [
     "ewma_arl_markov",
     "make_limits",
     "masking_demo",
-    "mean_estimate",
     "moments",
-    "product_estimate",
-    "product_preferred",
     "profile_deviation",
     "profile_equivalence_trials",
-    "ratio_estimate",
-    "ratio_preferred",
     "regression_estimate",
     "reproduce_table1",
     "sample_subgroup",

@@ -13,14 +13,6 @@ class SubgroupTooSmall(AibmonError):
     """A variance-requiring computation received a subgroup of size < 2."""
 
 
-class DivisionByZeroMean(AibmonError):
-    """Ratio estimator is inapplicable when the sample mean of X is zero."""
-
-
-class ZeroPopulationMean(AibmonError):
-    """Product estimator is inapplicable when the population mean of X is zero."""
-
-
 class DegenerateDesign(AibmonError):
     """Regression estimator needs positive sample variance of X."""
 

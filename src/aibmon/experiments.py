@@ -286,8 +286,8 @@ def profile_equivalence_trials(trials: int, master_seed: int = 0) -> float:
     own substream and a random intercept, and measures the decomposition
     gap. Returns the maximum over all trials.
     """
-    if trials < 1:
-        raise ValueError("profile equivalence needs trials >= 1")
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
+        raise ValueError("profile equivalence needs an integer trials >= 1")
     rng = np.random.default_rng(master_seed)
     worst = 0.0
     for i in range(trials):

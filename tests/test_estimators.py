@@ -7,20 +7,12 @@ from hypothesis import strategies as st
 
 from aibmon import (
     DegenerateDesign,
-    DivisionByZeroMean,
-    EfficiencyInputs,
     PairedSample,
     ProcessModel,
     StreamKey,
     SubgroupTooSmall,
-    ZeroPopulationMean,
     difference_estimate,
-    mean_estimate,
     moments,
-    product_estimate,
-    product_preferred,
-    ratio_estimate,
-    ratio_preferred,
     regression_estimate,
 )
 from aibmon.estimators import SampleMoments
@@ -77,24 +69,6 @@ def test_moments_satisfy_cauchy_schwarz(pairs):
 # ------------------------------------------------------------ point values
 
 
-def test_mean_estimate_returns_y_bar():
-    assert mean_estimate(SampleMoments(2.0, 9.0, None, None, None)) == 2.0
-
-
-def test_ratio_estimate_values_and_error():
-    assert ratio_estimate(SampleMoments(2.0, 4.0, None, None, None), 4.0) == 2.0
-    assert ratio_estimate(SampleMoments(2.0, 2.0, None, None, None), 4.0) == 4.0
-    with pytest.raises(DivisionByZeroMean):
-        ratio_estimate(SampleMoments(2.0, 0.0, None, None, None), 4.0)
-
-
-def test_product_estimate_values_and_error():
-    assert product_estimate(SampleMoments(2.0, 4.0, None, None, None), 4.0) == 2.0
-    assert product_estimate(SampleMoments(3.0, 2.0, None, None, None), 4.0) == 1.5
-    with pytest.raises(ZeroPopulationMean):
-        product_estimate(SampleMoments(3.0, 2.0, None, None, None), 0.0)
-
-
 def test_difference_estimate_substitution():
     # beta = 0.5, mu_x0 = 0: 2 + 0.5 * (0 - 3) = 0.5
     model = ProcessModel(0.0, 0.0, 1.0, 1.0, rho=0.5)
@@ -119,23 +93,6 @@ def test_regression_equals_y_bar_when_x_bar_hits_mu_x():
     assert regression_estimate(m, 2.0) == m.y_bar
 
 
-# ------------------------------------------------------ efficiency regions
-
-
-def test_efficiency_predicates_strict_boundaries():
-    assert ratio_preferred(EfficiencyInputs(rho=0.8, c_x=1.0, c_y=1.0))
-    assert not ratio_preferred(EfficiencyInputs(rho=0.5, c_x=1.0, c_y=1.0))
-    assert product_preferred(EfficiencyInputs(rho=-0.8, c_x=1.0, c_y=1.0))
-    assert not product_preferred(EfficiencyInputs(rho=-0.5, c_x=1.0, c_y=1.0))
-
-
-def test_efficiency_inputs_validate_cv():
-    with pytest.raises(ValueError):
-        EfficiencyInputs(rho=0.5, c_x=0.0, c_y=1.0)
-    with pytest.raises(ValueError):
-        EfficiencyInputs(rho=0.5, c_x=1.0, c_y=-1.0)
-
-
 # ----------------------------------------------------------- reductions
 
 
@@ -147,7 +104,7 @@ def test_efficiency_inputs_validate_cv():
 def test_zero_correlation_reduces_to_sample_mean_exactly(y_bar, x_bar):
     model = ProcessModel(0.0, 0.0, 1.0, 1.0, rho=0.0)
     m = SampleMoments(y_bar, x_bar, None, None, None)
-    assert difference_estimate(m, model) == mean_estimate(m)
+    assert difference_estimate(m, model) == m.y_bar
 
 
 def test_vectorized_means_agree_with_api():
@@ -202,14 +159,3 @@ def test_regression_estimator_converges_to_difference_estimator():
         gaps[n] = float(np.mean(sq))
     assert gaps[5] > gaps[20] > gaps[80]
     assert gaps[80] < 3e-4
-
-
-@pytest.mark.parametrize("rho,ratio_wins", [(0.4, False), (0.6, True)])
-def test_ratio_mse_crossover_at_half_cv_ratio(rho, ratio_wins):
-    # With c_x = c_y the ratio estimator beats the mean iff rho > 0.5.
-    model = ProcessModel(mu_y0=10.0, mu_x0=10.0, sigma_y=1.0, sigma_x=1.0, rho=rho, n=30)
-    ybar, xbar = subgroup_means(model, 50_000, seed=404)
-    mse_ratio = np.mean((ybar / xbar * model.mu_x0 - model.mu_y0) ** 2)
-    mse_mean = np.mean((ybar - model.mu_y0) ** 2)
-    assert (mse_ratio < mse_mean) == ratio_wins
-    assert ratio_preferred(EfficiencyInputs(rho=rho, c_x=0.1, c_y=0.1)) == ratio_wins

@@ -268,7 +268,7 @@ def test_profile_equivalence_over_randomized_trials():
     assert profile_equivalence_trials(2000, master_seed=3) <= 8.0
 
 
-@pytest.mark.parametrize("trials", [0, -5])
+@pytest.mark.parametrize("trials", [0, -5, True, 2.5])
 def test_profile_equivalence_needs_a_trial(trials):
     with pytest.raises(ValueError, match="trials"):
         profile_equivalence_trials(trials)
