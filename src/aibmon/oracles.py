@@ -155,7 +155,9 @@ def calibrate_limit(kind: ChartKind, lam: float, target_arl0: float) -> tuple[fl
     Shewhart is analytic, L = Phi^-1(1 - 1 / (2 * target)), and does not
     read ``lam``. EWMA brackets the 401-state Markov-chain ARL in L and
     solves by Brent's method to |ARL - target| < 0.1; the ARL returned is
-    the one solved at L.
+    the one solved at L. Both may differ in their last digits between BLAS
+    thread counts, whose Markov solves need not round alike (printed to 6
+    and 3 decimals they agree); ``simulate --target-arl0`` charts this L.
     """
     if not 1.0 < target_arl0 < math.inf:
         raise ValueError("target in-control ARL must be finite and exceed 1")

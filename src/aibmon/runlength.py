@@ -10,12 +10,13 @@ over worker processes.
 A study splits its replications into one contiguous share per worker, and
 each share into equal chunks that run one after another. A chunk holds at
 most ``_CHUNK`` rows at n <= 2 and proportionally fewer at larger n, so a
-round's word block does not grow with the subgroup size. With more than
-one worker, the shares go to a pool of forked worker processes that lives
-as long as the interpreter: the first study that plans more than one
-worker forks it, a study that plans more grows it, and every later study
-reuses it over pipes, so a process pays the fork, the first-run page
-faults and the reaping once, not once per study.
+round's word block (at most ``_BLOCK_MAX`` subgroups a row, charted in
+slices that widen as rows signal) does not grow with the subgroup size.
+With more than one worker, the shares go to a pool of forked worker
+processes that lives as long as the interpreter: the first study that
+plans more than one worker forks it, a study that plans more grows it, and
+every later study reuses it over pipes, so a process pays the fork, the
+first-run page faults and the reaping once, not once per study.
 The engine is bound by single-threaded C calls (Philox words, the ``ndtri``
 decode) that hold the GIL, so threads would only queue behind each other.
 
@@ -67,15 +68,17 @@ from .stochastics import (
 
 PERCENTILE_LEVELS = (5, 25, 50, 75, 95)
 
-# Subgroups drawn per replication per round: geometric growth keeps short
-# runs cheap without many Python-level rounds for long ones. The schedule
-# depends only on the round number, so per-replication consumption is
-# identical however replications are chunked. A round's words are decoded
-# and charted _SLICE subgroups at a time, so a replication that signals
-# early in a round never has the rest of its words decoded.
+# Subgroups drawn per replication per round: 64, then 128 a round, which
+# keeps a round's word block small and wastes few words on a long run. The
+# schedule depends only on the round number, so per-replication consumption
+# is identical however replications are chunked. A round is charted slice by
+# slice, so a replication that signals early in a round never has the rest
+# of its words decoded. A slice is _SLICE subgroups wide, or as wide as
+# _SLICE_NORMALS decoded normals (rows x width x 2n) allow for fewer rows.
 _BLOCK_FIRST = 64
+_BLOCK_MAX = 128
 _SLICE = 16
-_BLOCK_MAX = 1024
+_SLICE_NORMALS = 4096
 _CHUNK = 4096
 # A process's first parallel study forks the pool and pays each worker's
 # first-run page faults (about 3,000, 3-4 us each); later studies reuse it.
@@ -169,7 +172,11 @@ def _subgroup_statistics(
         mu_y = np.where(shifted, mu_y, model.mu_y0)
         mu_x = np.where(shifted, mu_x, model.mu_x0)
     y, x = pairs_from_normals(model, mu_y, mu_x, zx, ze)
-    ybar, xbar = y.mean(axis=2), x.mean(axis=2)
+    # ndarray.mean's own sum and divide, without its overhead.
+    ybar, xbar = np.add.reduce(y, axis=2), np.add.reduce(x, axis=2)
+    if model.n > 1:
+        ybar /= model.n
+        xbar /= model.n
     z = difference_estimate(SampleMoments(ybar, xbar, None, None, None), model)
     return xbar, ybar, z
 
@@ -184,7 +191,7 @@ def _chunk_run_lengths(config: SimulationConfig, rep_indices: np.ndarray) -> np.
     statistic, the EWMA recursion) over the same keys.
     """
     model, scenario, spec = config.model, config.scenario, config.spec
-    changepoint = scenario.changepoint
+    changepoint, used = scenario.changepoint, 2 * model.n
     source = SubstreamWords(model.n, substream_keys(config.master_seed, rep_indices))
     total = len(rep_indices)
     rl = np.zeros(total, dtype=np.int64)
@@ -199,18 +206,22 @@ def _chunk_run_lengths(config: SimulationConfig, rep_indices: np.ndarray) -> np.
         words = source.take(alive, t0, count)
         # Rows of ``words`` that belong to the replications still alive.
         sub = np.arange(alive.size)
-        for s in range(0, count, _SLICE):
-            if not alive.size:
-                break
+        s = 0
+        while s < count and alive.size:
             t = t0 + s
-            slice_words = words[sub, s : s + _SLICE]
+            width = max(_SLICE, _SLICE_NORMALS // (used * alive.size))
+            slice_words = words[sub, s : s + width, :used]
             _, _, z = _subgroup_statistics(model, scenario, slice_words, t)
             path, signal = charts.ewma_path(spec, z, w)
             # Signals up to the changepoint do not count.
             signal[:, : max(changepoint - t, 0)] = False
             done = signal.any(axis=1)
-            rl[alive[done]] = t + 1 - changepoint + signal[done].argmax(axis=1)
-            alive, sub, w = alive[~done], sub[~done], path[~done, -1]
+            if done.any():
+                rl[alive[done]] = t + 1 - changepoint + signal[done].argmax(axis=1)
+                alive, sub, w = alive[~done], sub[~done], path[~done, -1]
+            else:
+                w = path[:, -1]
+            s += width
         t0 += count
 
     rl[alive] = config.rl_cap
@@ -480,6 +491,8 @@ def trace(
 ) -> list[TracePoint]:
     """Chart path over ``n_subgroups`` subgroups, not stopping at signals, of
     the replication the engine keys ``StreamKey(master_seed, replication)``."""
+    if isinstance(n_subgroups, bool) or not isinstance(n_subgroups, int):
+        raise ValueError(f"n_subgroups must be an integer, got {n_subgroups!r}")
     if n_subgroups < 1:
         raise ValueError("n_subgroups must be >= 1")
     model, scenario, spec = config.model, config.scenario, config.spec

@@ -367,6 +367,26 @@ def test_calibrate_solves_each_limit_once(capsys, monkeypatch):
     assert len(solved) == len(set(solved))
 
 
+def test_calibrate_prints_the_same_under_one_and_two_blas_threads():
+    # The Markov solve need not round alike across BLAS thread counts, so
+    # the raw L may differ in its last digits; the printed lines may not.
+    # These are the 20 calibrations of bench/run.py's calibrate workload.
+    code = (
+        "import aibmon.cli\n"
+        "for lam in ('0.05', '0.1', '0.2', '0.5'):\n"
+        "    for target in ('100', '200', '370', '500', '1000'):\n"
+        "        assert aibmon.cli.main(['calibrate', '--chart', 'ewma',"
+        " '--lambda', lam, '--target-arl0', target]) == 0\n"
+    )
+    printed = []
+    for threads in ("1", "2"):
+        proc = fresh_python(code, OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        printed.append(proc.stdout)
+    assert len(printed[0].splitlines()) == 20
+    assert printed[0] == printed[1]
+
+
 def test_calibrate_rejects_unit_target(capsys):
     code, _, err = run(capsys, "calibrate", "--chart", "shewhart",
                        "--target-arl0", "1")
@@ -526,13 +546,14 @@ def test_threads_below_one_rejected(capsys, monkeypatch, flag):
 # ---------------------------------------------------------------- imports
 
 
-def fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a fresh interpreter that imports the aibmon under test.
+def fresh_python(code: str, *args: str, **env: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports the aibmon under test,
+    with ``env`` added to its environment.
 
     A fresh one, because this test process has imported ``scipy.special``
     and ``scipy.optimize`` itself (the oracle tests use them as reference).
     """
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    env = {**os.environ, **env, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     return subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, timeout=300)
 

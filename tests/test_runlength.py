@@ -609,15 +609,24 @@ def test_share_runs_in_chunks_of_at_most_chunk_rows(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "slice_width, block_first, block_max, chunk",
-    [(1, 1, 1, 7), (7, 3, 5, 100), (4096, 16, 4096, 4096)],
+    "slice_width, slice_normals, block_first, block_max, chunk, slices",
+    [
+        (1, 0, 1, 1, 7, "fixed"),
+        (7, 0, 3, 5, 100, "fixed"),
+        # Rounds doubling up to 1,024 subgroups, each charted 16 at a time.
+        (16, 0, 64, 1024, 4096, "fixed"),
+        (4096, 0, 16, 4096, 4096, "whole"),
+        (16, 10**9, 64, 128, 4096, "whole"),
+        # 2 subgroups wide at 300 rows (2n = 6), wider as rows signal.
+        (2, 3600, 60, 60, 100, "widening"),
+    ],
 )
 def test_run_lengths_independent_of_block_schedule(
-    monkeypatch, slice_width, block_first, block_max, chunk
+    monkeypatch, slice_width, slice_normals, block_first, block_max, chunk, slices
 ):
     # Subgroup t always reads the same word slot of its replication's
-    # substream, so the slice width, the round sizes and the chunking cannot
-    # move a result.
+    # substream, so the slice widths, the round sizes and the chunking
+    # cannot move a result.
     model = ProcessModel(0.2, -0.4, 1.1, 0.9, rho=0.55, n=3)
     config = SimulationConfig(
         model,
@@ -628,10 +637,41 @@ def test_run_lengths_independent_of_block_schedule(
     )
     default = simulate_run_lengths(config)
     monkeypatch.setattr(runlength, "_SLICE", slice_width)
+    monkeypatch.setattr(runlength, "_SLICE_NORMALS", slice_normals)
     monkeypatch.setattr(runlength, "_BLOCK_FIRST", block_first)
     monkeypatch.setattr(runlength, "_BLOCK_MAX", block_max)
     monkeypatch.setattr(runlength, "_CHUNK", chunk)
+    charted = []
+    subgroup_statistics = runlength._subgroup_statistics
+
+    def spy(model, scenario, words, t0):
+        charted.append((t0, words.shape[1]))
+        return subgroup_statistics(model, scenario, words, t0)
+
+    monkeypatch.setattr(runlength, "_subgroup_statistics", spy)
     assert np.array_equal(simulate_run_lengths(config), default)
+
+    def round_of(t):
+        start, block = 0, block_first
+        while t >= start + block:
+            start, block = start + block, min(2 * block, block_max)
+        return start, start + block
+
+    # Widths of the slices that end before their round does, per round.
+    inner = {}
+    for t, width in charted:
+        start, end = round_of(t)
+        assert t + width <= end
+        if slices == "fixed":
+            assert width == min(slice_width, end - t)
+        elif slices == "whole":
+            assert (t, t + width) == (start, end)
+        else:
+            assert width >= min(slice_width, end - t)
+        if t + width < end:
+            inner.setdefault(start, set()).add(width)
+    if slices == "widening":
+        assert any(len(widths) > 1 for widths in inner.values())
 
 
 def test_decode_leaves_the_callers_words_unchanged(monkeypatch):
@@ -821,6 +861,15 @@ def test_trace_single_in_control_subgroup():
     assert p.z == z1
     assert p.w == spec.lam * z1 + (1 - spec.lam) * spec.center
     assert p.regime == "in-control"  # zero shift: nothing moved
+
+
+@pytest.mark.parametrize("n_subgroups", [0, True, 2.5])
+def test_trace_needs_a_whole_subgroup_count(n_subgroups):
+    model = ProcessModel.standard(0.5)
+    spec = make_limits(ChartKind.EWMA, 0.1, 2.454, model)
+    config = SimulationConfig(model, ShiftScenario(), spec, reps=1, master_seed=5)
+    with pytest.raises(ValueError, match="n_subgroups"):
+        trace(config, 0, n_subgroups)
 
 
 def test_trace_regime_labels_and_limits():
