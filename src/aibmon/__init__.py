@@ -18,12 +18,7 @@ from .errors import (
     SingularSystem,
     SubgroupTooSmall,
 )
-from .estimators import (
-    SampleMoments,
-    difference_estimate,
-    moments,
-    regression_estimate,
-)
+from .estimators import difference_estimate, regression_estimate
 from .experiments import (
     EquivalenceResult,
     MaskingDemo,
@@ -74,7 +69,6 @@ __all__ = [
     "PairedSample",
     "ProcessModel",
     "RunLengthSummary",
-    "SampleMoments",
     "ShiftMode",
     "ShiftScenario",
     "SimulationConfig",
@@ -91,7 +85,6 @@ __all__ = [
     "ewma_arl_markov",
     "make_limits",
     "masking_demo",
-    "moments",
     "profile_deviation",
     "profile_equivalence_trials",
     "regression_estimate",

@@ -45,6 +45,8 @@ class ChartSpec:
     half_width: float
 
     def __post_init__(self):
+        # "shewhart" is not ``ChartKind.SHEWHART``; any other value raises.
+        object.__setattr__(self, "kind", ChartKind(self.kind))
         if not 0.0 < self.lam <= 1.0:
             raise InvalidLambda(f"lambda must be in (0, 1], got {self.lam}")
         if self.kind is ChartKind.SHEWHART and self.lam != 1.0:
@@ -76,7 +78,7 @@ def make_limits(
     200. The spec is built, and so validated, before the half-width
     arithmetic, which needs 0 < lam <= 1.
     """
-    if kind is ChartKind.SHEWHART:
+    if ChartKind(kind) is ChartKind.SHEWHART:
         lam = 1.0
     spec = ChartSpec(kind, lam, limit_multiplier, center=model.mu_y0, half_width=0.0)
     base = model.sigma_y * math.sqrt(1.0 - model.rho**2) / math.sqrt(model.n)

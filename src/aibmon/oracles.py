@@ -161,7 +161,7 @@ def calibrate_limit(kind: ChartKind, lam: float, target_arl0: float) -> tuple[fl
     """
     if not 1.0 < target_arl0 < math.inf:
         raise ValueError("target in-control ARL must be finite and exceed 1")
-    if kind is ChartKind.SHEWHART:
+    if ChartKind(kind) is ChartKind.SHEWHART:
         L = float(-ndtri(0.5 / target_arl0))
         return L, shewhart_arl_exact(L, 0.0)
 

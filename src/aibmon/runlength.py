@@ -51,14 +51,14 @@ import numpy as np
 from . import charts
 from .charts import ChartSpec
 from .errors import ExcessCensoring
-from .estimators import SampleMoments, difference_estimate
+from .estimators import difference_estimate
 from .stochastics import (
     ProcessModel,
     ShiftScenario,
     StreamKey,
     SubgroupStream,
     SubstreamWords,
-    check_u64,
+    check_int,
     normals_from_words,
     pairs_from_normals,
     shifted_means,
@@ -120,12 +120,8 @@ class SimulationConfig:
     rl_cap: int = 10_000_000
 
     def __post_init__(self):
-        for name in ("reps", "rl_cap"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1")
+        check_int("reps", self.reps, 1)
+        check_int("rl_cap", self.rl_cap, 1)
         # Run lengths, and the changepoint they are counted from, are int64.
         int64_max = int(np.iinfo(np.int64).max)
         if self.rl_cap > int64_max:
@@ -141,7 +137,7 @@ class SimulationConfig:
                 f"changepoint must be <= rl_cap, got {self.scenario.changepoint} "
                 f"> {self.rl_cap}"
             )
-        check_u64("master_seed", self.master_seed)
+        check_int("master_seed", self.master_seed, 0, 2**64)
         # A mean that overflows to inf makes a NaN statistic that never
         # signals, so every replication would run to rl_cap.
         means = shifted_means(self.model, self.scenario)
@@ -177,7 +173,7 @@ def _subgroup_statistics(
     if model.n > 1:
         ybar /= model.n
         xbar /= model.n
-    z = difference_estimate(SampleMoments(ybar, xbar, None, None, None), model)
+    z = difference_estimate(ybar, xbar, model)
     return xbar, ybar, z
 
 
@@ -491,10 +487,7 @@ def trace(
 ) -> list[TracePoint]:
     """Chart path over ``n_subgroups`` subgroups, not stopping at signals, of
     the replication the engine keys ``StreamKey(master_seed, replication)``."""
-    if isinstance(n_subgroups, bool) or not isinstance(n_subgroups, int):
-        raise ValueError(f"n_subgroups must be an integer, got {n_subgroups!r}")
-    if n_subgroups < 1:
-        raise ValueError("n_subgroups must be >= 1")
+    check_int("n_subgroups", n_subgroups, 1)
     model, scenario, spec = config.model, config.scenario, config.spec
     mu_y1, mu_x1 = shifted_means(model, scenario)
     shifted_label = (

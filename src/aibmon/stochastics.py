@@ -124,8 +124,7 @@ class ProcessModel:
             raise ValueError("sigma_y and sigma_x must be positive and finite")
         if not abs(self.rho) < 1:
             raise ValueError("need |rho| < 1 (degenerate correlation rejected)")
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
-            raise ValueError("subgroup size n must be an integer >= 1")
+        check_int("subgroup size n", self.n, 1)
 
     def beta(self) -> float:
         """Population regression slope of Y on X: rho * sigma_y / sigma_x."""
@@ -156,9 +155,9 @@ class ShiftScenario:
     def __post_init__(self):
         if not (math.isfinite(self.delta_y) and math.isfinite(self.delta_x)):
             raise ValueError("delta_y and delta_x must be finite")
-        cp = self.changepoint
-        if isinstance(cp, bool) or not isinstance(cp, int) or cp < 0:
-            raise ValueError("changepoint must be an integer >= 0")
+        check_int("changepoint", self.changepoint, 0)
+        # "masking" is not ``ShiftMode.MASKING``; any other value raises.
+        object.__setattr__(self, "mode", ShiftMode(self.mode))
 
 
 @dataclass(frozen=True)
@@ -187,14 +186,14 @@ class StreamKey:
     replication_index: int
 
     def __post_init__(self):
-        check_u64("master_seed", self.master_seed)
-        check_u64("replication_index", self.replication_index)
+        check_int("master_seed", self.master_seed, 0, _U64_MAX)
+        check_int("replication_index", self.replication_index, 0, _U64_MAX)
 
 
-def check_u64(name: str, value) -> None:
-    """Reject anything but an unsigned 64-bit Python integer."""
-    if isinstance(value, bool) or not (isinstance(value, int) and 0 <= value < _U64_MAX):
-        raise ValueError(f"{name} must be an unsigned 64-bit integer")
+def check_int(name: str, value, low: int, high: float = math.inf) -> None:
+    """Refuse anything but an ``int``, not a ``bool``, in [low, high)."""
+    if isinstance(value, bool) or not (isinstance(value, int) and low <= value < high):
+        raise ValueError(f"{name} must be an integer in [{low}, {high}), got {value!r}")
 
 
 # numpy's SeedSequence hash (pool size 4) on 32-bit words, for mixing spawn
@@ -269,7 +268,7 @@ def substream_keys(master_seed: int, indices) -> np.ndarray:
     master seed; the spawn-index stage runs column-wise over all indices.
     An index of 2**32 or more contributes a second 32-bit word.
     """
-    check_u64("master_seed", master_seed)
+    check_int("master_seed", master_seed, 0, _U64_MAX)
     idx = np.asarray(indices, dtype=np.uint64)
     pool = _seed_pool(master_seed)
     low = (idx & _MASK32).astype(np.uint32)

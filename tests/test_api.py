@@ -1,3 +1,9 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import aibmon
 
 
@@ -10,3 +16,18 @@ def test_public_names_resolve_and_star_import_works():
     namespace = {}
     exec("from aibmon import *", namespace)
     assert set(aibmon.__all__) <= set(namespace)
+
+
+def test_readme_quick_start_runs_as_written():
+    # The snippet prints the Monte Carlo ARL and its analytic cross-check; a
+    # renamed or deleted name it imports fails here.
+    src = Path(aibmon.__file__).parents[1]
+    readme = (src.parent / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    mc, oracle = map(float, run.stdout.split())
+    assert abs(mc - oracle) <= 0.02 * oracle, (mc, oracle)

@@ -19,7 +19,6 @@ from aibmon import (
     trace,
 )
 from aibmon.charts import ewma_path
-from aibmon.estimators import SampleMoments
 from aibmon.stochastics import SubgroupStream, pairs_from_normals
 
 
@@ -28,14 +27,12 @@ from aibmon.stochastics import SubgroupStream, pairs_from_normals
 
 def test_statistic_recovers_classical_chart_at_zero_rho():
     model = ProcessModel.standard(0.0)
-    m = SampleMoments(0.37, -1.2, None, None, None)
-    assert difference_estimate(m, model) == 0.37
+    assert difference_estimate(0.37, -1.2, model) == 0.37
 
 
 def test_statistic_substitution():
     model = ProcessModel.standard(0.5)
-    m = SampleMoments(0.3, -0.2, None, None, None)
-    assert difference_estimate(m, model) == pytest.approx(0.4)
+    assert difference_estimate(0.3, -0.2, model) == pytest.approx(0.4)
 
 
 def test_in_control_statistic_moments():
@@ -110,6 +107,25 @@ def test_invalid_lambda_rejected():
 def test_shewhart_forces_lambda_one():
     spec = make_limits(ChartKind.SHEWHART, 0.3, 2.807, ProcessModel.standard(0.0))
     assert spec.lam == 1.0
+
+
+def test_chart_spec_takes_a_kind_string_and_refuses_others():
+    # "shewhart" is the Shewhart kind, so its lambda must be 1.
+    spec = ChartSpec("ewma", lam=0.4, limit_multiplier=2.8, center=0, half_width=1)
+    assert spec.kind is ChartKind.EWMA
+    with pytest.raises(InvalidLambda):
+        ChartSpec("shewhart", lam=0.4, limit_multiplier=2.8, center=0, half_width=1)
+    with pytest.raises(ValueError, match="ChartKind"):
+        ChartSpec("bogus", lam=0.4, limit_multiplier=2.8, center=0, half_width=1)
+
+
+def test_make_limits_takes_a_kind_string_and_refuses_others():
+    model = ProcessModel.standard(0.0)
+    spec = make_limits("shewhart", 0.1, 2.807, model)
+    assert spec == make_limits(ChartKind.SHEWHART, 0.1, 2.807, model)
+    assert spec.kind is ChartKind.SHEWHART and spec.lam == 1.0
+    with pytest.raises(ValueError, match="ChartKind"):
+        make_limits("bogus", 0.1, 2.807, model)
 
 
 # -------------------------------------------------------------------- kernel

@@ -12,10 +12,8 @@ from aibmon import (
     StreamKey,
     SubgroupTooSmall,
     difference_estimate,
-    moments,
     regression_estimate,
 )
-from aibmon.estimators import SampleMoments
 from aibmon.stochastics import SubgroupStream, pairs_from_normals
 
 
@@ -26,71 +24,31 @@ def subgroup_means(model, reps, seed, rep_index=0):
     return y.mean(axis=1), x.mean(axis=1)
 
 
-# ----------------------------------------------------------------- moments
-
-
-def test_moments_two_point_hand_computation():
-    m = moments(PairedSample(y=[1.0, 3.0], x=[2.0, 4.0]))
-    assert m.y_bar == 2.0
-    assert m.x_bar == 3.0
-    assert m.s_yx == pytest.approx(2.0)
-    assert m.s_x2 == pytest.approx(2.0)
-    assert m.s_y2 == pytest.approx(2.0)
-
-
-def test_moments_constant_x_has_zero_variance():
-    m = moments(PairedSample(y=[1.0, 2.0, 6.0], x=[5.0, 5.0, 5.0]))
-    assert m.s_x2 == 0.0
-
-
-def test_moments_single_pair_flags_variances_undefined():
-    m = moments(PairedSample(y=[4.0], x=[2.0]))
-    assert m.y_bar == 4.0 and m.x_bar == 2.0
-    assert not m.has_variances
-    assert m.s_yx is None and m.s_x2 is None and m.s_y2 is None
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
-        min_size=2,
-        max_size=30,
-    )
-)
-def test_moments_satisfy_cauchy_schwarz(pairs):
-    y = [p[0] for p in pairs]
-    x = [p[1] for p in pairs]
-    m = moments(PairedSample(y=y, x=x))
-    bound = math.sqrt(m.s_x2 * m.s_y2)
-    assert abs(m.s_yx) <= bound + 1e-9 * (1.0 + bound)
-
-
 # ------------------------------------------------------------ point values
 
 
 def test_difference_estimate_substitution():
     # beta = 0.5, mu_x0 = 0: 2 + 0.5 * (0 - 3) = 0.5
     model = ProcessModel(0.0, 0.0, 1.0, 1.0, rho=0.5)
-    assert difference_estimate(SampleMoments(2.0, 3.0, None, None, None), model) == 0.5
+    assert difference_estimate(2.0, 3.0, model) == 0.5
 
 
 def test_regression_estimate_hand_computation():
-    m = moments(PairedSample(y=[1.0, 3.0], x=[2.0, 4.0]))
-    assert regression_estimate(m, 3.0) == 2.0  # slope 1, x_bar = mu_x
-    assert regression_estimate(m, 5.0) == pytest.approx(4.0)
+    sample = PairedSample(y=[1.0, 3.0], x=[2.0, 4.0])
+    assert regression_estimate(sample, 3.0) == 2.0  # slope 1, x_bar = mu_x
+    assert regression_estimate(sample, 5.0) == pytest.approx(4.0)
 
 
 def test_regression_estimate_errors():
     with pytest.raises(SubgroupTooSmall):
-        regression_estimate(moments(PairedSample(y=[1.0], x=[1.0])), 0.0)
+        regression_estimate(PairedSample(y=[1.0], x=[1.0]), 0.0)
     with pytest.raises(DegenerateDesign):
-        regression_estimate(moments(PairedSample(y=[1.0, 2.0], x=[3.0, 3.0])), 0.0)
+        regression_estimate(PairedSample(y=[1.0, 2.0], x=[3.0, 3.0]), 0.0)
 
 
 def test_regression_equals_y_bar_when_x_bar_hits_mu_x():
-    m = moments(PairedSample(y=[0.4, 1.9, -2.2], x=[1.0, 2.0, 3.0]))
-    assert regression_estimate(m, 2.0) == m.y_bar
+    sample = PairedSample(y=[0.4, 1.9, -2.2], x=[1.0, 2.0, 3.0])
+    assert regression_estimate(sample, 2.0) == float(sample.y.mean())
 
 
 # ----------------------------------------------------------- reductions
@@ -103,8 +61,7 @@ def test_regression_equals_y_bar_when_x_bar_hits_mu_x():
 )
 def test_zero_correlation_reduces_to_sample_mean_exactly(y_bar, x_bar):
     model = ProcessModel(0.0, 0.0, 1.0, 1.0, rho=0.0)
-    m = SampleMoments(y_bar, x_bar, None, None, None)
-    assert difference_estimate(m, model) == m.y_bar
+    assert difference_estimate(y_bar, x_bar, model) == y_bar
 
 
 def test_vectorized_means_agree_with_api():
@@ -116,8 +73,7 @@ def test_vectorized_means_agree_with_api():
 
     for t in range(5):
         s = sample_subgroup(model, 0.0, 0.0, StreamKey(42, 0), t)
-        m = moments(s)
-        assert m.y_bar == ybar[t] and m.x_bar == xbar[t]
+        assert float(s.y.mean()) == ybar[t] and float(s.x.mean()) == xbar[t]
 
 
 # ------------------------------------------------------------- MC oracles
@@ -152,10 +108,9 @@ def test_regression_estimator_converges_to_difference_estimator():
         y, x = pairs_from_normals(model, 0.0, 0.0, zx, ze)
         sq = []
         for i in range(y.shape[0]):
-            m = moments(PairedSample(y=y[i], x=x[i]))
-            sq.append(
-                (regression_estimate(m, 0.0) - difference_estimate(m, model)) ** 2
-            )
+            s = PairedSample(y=y[i], x=x[i])
+            z = difference_estimate(float(s.y.mean()), float(s.x.mean()), model)
+            sq.append((regression_estimate(s, 0.0) - z) ** 2)
         gaps[n] = float(np.mean(sq))
     assert gaps[5] > gaps[20] > gaps[80]
     assert gaps[80] < 3e-4

@@ -298,6 +298,15 @@ def test_shewhart_calibration_is_analytic():
     assert arl0 == pytest.approx(200.0, rel=1e-12)
 
 
+def test_calibration_takes_a_kind_string_and_refuses_others():
+    # "shewhart" is analytic and ignores lambda; it must not calibrate EWMA.
+    assert calibrate_limit("shewhart", 0.1, 200.0) == calibrate_limit(
+        ChartKind.SHEWHART, 1.0, 200.0
+    )
+    with pytest.raises(ValueError, match="ChartKind"):
+        calibrate_limit("bogus", 0.1, 200.0)
+
+
 @pytest.mark.parametrize("lam,published", EWMA_DESIGNS)
 def test_ewma_calibration_recovers_published_limits(lam, published):
     L, arl0 = calibrate_limit(ChartKind.EWMA, lam, 200.0)

@@ -714,10 +714,11 @@ def scalar_walk(config, key, n_subgroups):
     w = spec.center
     for t in range(1, n_subgroups + 1):
         mu = (model.mu_y0, model.mu_x0) if t <= scenario.changepoint else (mu_y1, mu_x1)
-        m = estimators.moments(sample_subgroup(model, mu[0], mu[1], key, t - 1))
-        z = estimators.difference_estimate(m, model)
+        sample = sample_subgroup(model, mu[0], mu[1], key, t - 1)
+        y_bar, x_bar = float(sample.y.mean()), float(sample.x.mean())
+        z = estimators.difference_estimate(y_bar, x_bar, model)
         w = lam * z + (1 - lam) * w
-        yield t, m.x_bar, m.y_bar, z, w, abs(w - spec.center) > spec.half_width
+        yield t, x_bar, y_bar, z, w, abs(w - spec.center) > spec.half_width
 
 
 # The shift at subgroup 0, inside the first 16-subgroup slice, on either
@@ -856,7 +857,9 @@ def test_trace_single_in_control_subgroup():
     assert len(points) == 1
     p = points[0]
     sample = sample_subgroup(model, 0.0, 0.0, StreamKey(5, 0), 0)
-    z1 = estimators.difference_estimate(estimators.moments(sample), model)
+    z1 = estimators.difference_estimate(
+        float(sample.y.mean()), float(sample.x.mean()), model
+    )
     assert p.t == 1
     assert p.z == z1
     assert p.w == spec.lam * z1 + (1 - spec.lam) * spec.center

@@ -14,6 +14,7 @@ from aibmon import (
     StreamKey,
     sample_subgroup,
     shifted_means,
+    standardized_shift,
 )
 from aibmon.stochastics import (
     SubgroupStream,
@@ -147,6 +148,17 @@ def test_masking_coupled_shift_divides_by_beta():
     m = standard(0.5)
     sc = ShiftScenario(delta_y=2.0, mode=ShiftMode.MASKING)
     assert shifted_means(m, sc) == (2.0, 4.0)
+
+
+def test_scenario_mode_takes_its_string_value_and_refuses_others():
+    # The string selects the member, so "masking" couples the X shift and the
+    # statistic sees no shift; an unknown mode is refused, not run unmasked.
+    sc = ShiftScenario(delta_y=2.0, mode="masking")
+    assert sc.mode is ShiftMode.MASKING
+    assert shifted_means(standard(0.5), sc) == (2.0, 4.0)
+    assert standardized_shift(standard(0.5), sc) == 0.0
+    with pytest.raises(ValueError, match="ShiftMode"):
+        ShiftScenario(mode="bogus")
 
 
 def test_masking_zero_shift_is_zero():
