@@ -8,16 +8,7 @@ inflates false alarms or masks real shifts.
 """
 
 from .charts import ChartKind, ChartSpec, make_limits
-from .errors import (
-    AibmonError,
-    DegenerateDesign,
-    ExcessCensoring,
-    InvalidLambda,
-    MaskingWithZeroCorrelation,
-    NoBracket,
-    SingularSystem,
-    SubgroupTooSmall,
-)
+from .errors import AibmonError, ExcessCensoring, SingularSystem
 from .estimators import difference_estimate, regression_estimate
 from .experiments import (
     EquivalenceResult,
@@ -59,13 +50,9 @@ __all__ = [
     "AibmonError",
     "ChartKind",
     "ChartSpec",
-    "DegenerateDesign",
     "EquivalenceResult",
     "ExcessCensoring",
-    "InvalidLambda",
     "MaskingDemo",
-    "MaskingWithZeroCorrelation",
-    "NoBracket",
     "PairedSample",
     "ProcessModel",
     "RunLengthSummary",
@@ -74,7 +61,6 @@ __all__ = [
     "SimulationConfig",
     "SingularSystem",
     "StreamKey",
-    "SubgroupTooSmall",
     "Table1Cell",
     "TracePoint",
     "analytic_arl",

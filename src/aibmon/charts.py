@@ -20,7 +20,6 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidLambda
 from .stochastics import ProcessModel
 
 
@@ -48,9 +47,9 @@ class ChartSpec:
         # "shewhart" is not ``ChartKind.SHEWHART``; any other value raises.
         object.__setattr__(self, "kind", ChartKind(self.kind))
         if not 0.0 < self.lam <= 1.0:
-            raise InvalidLambda(f"lambda must be in (0, 1], got {self.lam}")
+            raise ValueError(f"lambda must be in (0, 1], got {self.lam}")
         if self.kind is ChartKind.SHEWHART and self.lam != 1.0:
-            raise InvalidLambda("Shewhart chart requires lambda = 1")
+            raise ValueError("Shewhart chart requires lambda = 1")
         if not 0 < self.limit_multiplier < math.inf:
             raise ValueError("limit_multiplier must be positive and finite")
         if not math.isfinite(self.center):

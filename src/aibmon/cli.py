@@ -356,7 +356,7 @@ def main(argv=None) -> int:
     except ExcessCensoring as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (AibmonError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (AibmonError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

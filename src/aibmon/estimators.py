@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateDesign, SubgroupTooSmall
 from .stochastics import PairedSample, ProcessModel
 
 
@@ -35,7 +34,7 @@ def regression_estimate(sample: PairedSample, mu_x: float) -> float:
     """
     n = sample.n
     if n < 2:
-        raise SubgroupTooSmall("regression estimator needs a subgroup of size >= 2")
+        raise ValueError("regression estimator needs a subgroup of size >= 2")
     y_bar = float(sample.y.mean())
     x_bar = float(sample.x.mean())
     dy = sample.y - y_bar
@@ -43,5 +42,5 @@ def regression_estimate(sample: PairedSample, mu_x: float) -> float:
     s_yx = float((dy * dx).sum() / (n - 1))
     s_x2 = float((dx * dx).sum() / (n - 1))
     if s_x2 == 0.0:
-        raise DegenerateDesign("regression estimator undefined for constant x")
+        raise ValueError("regression estimator undefined for constant x")
     return y_bar + s_yx / s_x2 * (mu_x - x_bar)

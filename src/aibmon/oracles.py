@@ -34,7 +34,7 @@ from collections.abc import Callable
 import numpy as np
 
 from .charts import ChartKind
-from .errors import InvalidLambda, NoBracket, SingularSystem
+from .errors import SingularSystem
 from .stochastics import ProcessModel, ShiftMode, ShiftScenario, ndtr, ndtri
 
 
@@ -100,7 +100,7 @@ def ewma_arl_markov(lam: float, L: float, s: float, n_states: int = 401) -> floa
     lam = 1 reproduces the Shewhart closed form, and s = +-inf gives ARL 1.
     """
     if not 0.0 < lam <= 1.0:
-        raise InvalidLambda(f"lambda must be in (0, 1], got {lam}")
+        raise ValueError(f"lambda must be in (0, 1], got {lam}")
     _check_limit_and_shift(L, s)
     integral = isinstance(n_states, (int, np.integer))
     if not integral or n_states < 51 or n_states % 2 == 0:
@@ -192,7 +192,7 @@ def calibrate_limit(kind: ChartKind, lam: float, target_arl0: float) -> tuple[fl
         if gap(lo) >= 0:
             lo, hi = 1e-3, 1.0
             if gap(lo) > 0:
-                raise NoBracket(
+                raise ValueError(
                     f"target in-control ARL {target_arl0} already exceeded at L={lo}"
                 )
     elif start is False:
@@ -205,12 +205,12 @@ def calibrate_limit(kind: ChartKind, lam: float, target_arl0: float) -> tuple[fl
                 break
             lo = cand
     if hi is None:
-        raise NoBracket(
+        raise ValueError(
             f"no L in (0, 10] reaches in-control ARL {target_arl0} at lam={lam}"
         )
     L = _brent(gap, lo, hi, xtol=1e-7)
     if abs(gap(L)) >= 0.1:
-        raise NoBracket(f"calibration residual too large at lam={lam}")
+        raise ValueError(f"calibration residual too large at lam={lam}")
     return L, solved[L]
 
 

@@ -251,6 +251,7 @@ def simulate_run_lengths(
     A replication's run length depends only on its key, so shares and chunks
     change no value. Where the platform cannot fork, one share runs here.
     """
+    check_int("threads", threads, 1)
     indices = np.arange(config.reps, dtype=np.uint64)
     workers = _plan(config.reps, threads, usable_cpus())
     if workers > 1 and hasattr(os, "fork"):

@@ -45,7 +45,6 @@ import numpy as np
 import scipy
 from numpy.random import Philox
 
-from .errors import MaskingWithZeroCorrelation
 
 _U64_MAX = 2**64
 _UNIFORM_SCALE = 2.0**-53
@@ -295,7 +294,7 @@ def shifted_means(model: ProcessModel, scenario: ShiftScenario) -> tuple[float, 
     mu_y1 = model.mu_y0 + scenario.delta_y * model.sigma_y / root_n
     if scenario.mode is ShiftMode.MASKING:
         if model.beta() == 0.0:
-            raise MaskingWithZeroCorrelation(
+            raise ValueError(
                 f"masking-coupled shift undefined at beta = 0 (rho = {model.rho!r})"
             )
         mu_x1 = model.mu_x0 + scenario.delta_y * model.sigma_y / (model.beta() * root_n)
@@ -384,8 +383,7 @@ class SubgroupStream:
     """
 
     def __init__(self, n: int, key: StreamKey, start_index: int = 0):
-        if start_index < 0:
-            raise ValueError("start_index must be >= 0")
+        check_int("start_index", start_index, 0)
         self.n = n
         self._words = SubstreamWords(
             n, substream_keys(key.master_seed, [key.replication_index])

@@ -31,3 +31,14 @@ def test_readme_quick_start_runs_as_written():
     assert run.returncode == 0, run.stderr
     mc, oracle = map(float, run.stdout.split())
     assert abs(mc - oracle) <= 0.02 * oracle, (mc, oracle)
+
+
+def test_every_benchmark_hook_resolves(monkeypatch):
+    # The benchmark reports a hook whose target is gone as absent and its
+    # layer as zero work, so a deleted or renamed name would pass unnoticed.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import layers
+
+    assert len(layers.HOOKS) == 12
+    absent = [f"{h.module}.{h.attr}" for h in layers.HOOKS if layers._resolve(h) is None]
+    assert not absent, absent

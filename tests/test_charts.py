@@ -9,7 +9,6 @@ from scipy.stats import kstest
 from aibmon import (
     ChartKind,
     ChartSpec,
-    InvalidLambda,
     ProcessModel,
     ShiftScenario,
     SimulationConfig,
@@ -93,14 +92,14 @@ def test_half_width_shrinks_with_correlation():
 
 def test_invalid_lambda_rejected():
     model = ProcessModel.standard(0.0)
-    with pytest.raises(InvalidLambda):
+    with pytest.raises(ValueError, match=r"lambda must be in \(0, 1\], got 0.0"):
         make_limits(ChartKind.EWMA, 0.0, 2.5, model)
     # lam = 2 would divide by zero and lam > 2 take a negative square root
     # in the half-width, so the spec must reject them before that arithmetic.
     for lam in (1.2, 2.0, 3.0, math.nan):
-        with pytest.raises(InvalidLambda):
+        with pytest.raises(ValueError, match="lambda must be in"):
             make_limits(ChartKind.EWMA, lam, 2.5, model)
-    with pytest.raises(InvalidLambda):
+    with pytest.raises(ValueError, match="Shewhart chart requires lambda = 1"):
         ChartSpec(ChartKind.SHEWHART, lam=0.4, limit_multiplier=2.8, center=0, half_width=1)
 
 
@@ -113,7 +112,7 @@ def test_chart_spec_takes_a_kind_string_and_refuses_others():
     # "shewhart" is the Shewhart kind, so its lambda must be 1.
     spec = ChartSpec("ewma", lam=0.4, limit_multiplier=2.8, center=0, half_width=1)
     assert spec.kind is ChartKind.EWMA
-    with pytest.raises(InvalidLambda):
+    with pytest.raises(ValueError, match="Shewhart chart requires lambda = 1"):
         ChartSpec("shewhart", lam=0.4, limit_multiplier=2.8, center=0, half_width=1)
     with pytest.raises(ValueError, match="ChartKind"):
         ChartSpec("bogus", lam=0.4, limit_multiplier=2.8, center=0, half_width=1)

@@ -105,7 +105,14 @@ def test_simulate_rejects_masking_with_zero_rho(capsys):
         "--mode", "masking", "--delta-y", "1", "--rho", "0", "--reps", "100",
     )
     assert code == 2
-    assert "rho" in err
+    assert err == "error: masking-coupled shift undefined at beta = 0 (rho = 0.0)\n"
+
+
+def test_simulate_rejects_lambda_outside_unit_interval(capsys):
+    code, out, err = run(capsys, "simulate", "--chart", "ewma", "--lambda", "0",
+                         "--L", "2.454", "--reps", "100")
+    assert (code, out) == (2, "")
+    assert err == "error: lambda must be in (0, 1], got 0.0\n"
 
 
 def test_simulate_requires_exactly_one_limit_source(capsys):
@@ -402,6 +409,19 @@ def test_calibrate_rejects_non_finite_target(capsys, chart, target):
     assert code == 2
     assert stdout == ""
     assert "finite" in err
+
+
+@pytest.mark.parametrize(
+    "lam, target, message",
+    [("0.1", "1e300", "no L in (0, 10] reaches in-control ARL 1e+300 at lam=0.1"),
+     ("0.01", "1.0001", "target in-control ARL 1.0001 already exceeded at L=0.001"),
+     ("1.5", "200", "lambda must be in (0, 1], got 1.5")],
+)
+def test_calibrate_ewma_refusals_print_their_message(capsys, lam, target, message):
+    code, out, err = run(capsys, "calibrate", "--chart", "ewma",
+                         "--lambda", lam, "--target-arl0", target)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 def test_calibrate_ewma_needs_lambda(capsys):

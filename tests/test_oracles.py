@@ -10,8 +10,6 @@ from scipy.special import ndtr
 from aibmon import oracles
 from aibmon import (
     ChartKind,
-    InvalidLambda,
-    NoBracket,
     ProcessModel,
     ShiftMode,
     ShiftScenario,
@@ -152,7 +150,7 @@ def test_markov_validates_inputs():
         ewma_arl_markov(0.1, 2.454, 0.0, n_states=400)  # even
     with pytest.raises(ValueError):
         ewma_arl_markov(0.1, 2.454, 0.0, n_states=49)  # too few
-    with pytest.raises(InvalidLambda):
+    with pytest.raises(ValueError, match="lambda must be in"):
         ewma_arl_markov(0.0, 2.454, 0.0)
     with pytest.raises(ValueError):
         ewma_arl_markov(0.1, -1.0, 0.0)
@@ -350,7 +348,7 @@ def test_calibration_bracket_walks_down_from_two(monkeypatch, target, first):
 
 
 def test_calibration_reports_target_reached_below_smallest_limit():
-    with pytest.raises(NoBracket, match="already exceeded at L=0.001"):
+    with pytest.raises(ValueError, match="already exceeded at L=0.001"):
         calibrate_limit(ChartKind.EWMA, 0.5, 1.0000001)
 
 
@@ -393,7 +391,8 @@ def test_calibration_rejects_non_finite_target(kind, lam, target):
 
 
 def test_calibration_reports_unreachable_target():
-    with pytest.raises(NoBracket):
+    # A bracket is found, but no L brings the solved ARL within 0.1 of 1e12.
+    with pytest.raises(ValueError, match="calibration residual too large at lam=0.5"):
         calibrate_limit(ChartKind.EWMA, 0.5, 1e12)
 
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aibmon import (
-    MaskingWithZeroCorrelation,
     PairedSample,
     ProcessModel,
     ShiftMode,
@@ -168,11 +167,11 @@ def test_masking_zero_shift_is_zero():
 
 def test_masking_requires_nonzero_correlation():
     sc = ShiftScenario(delta_y=1.0, mode=ShiftMode.MASKING)
-    with pytest.raises(MaskingWithZeroCorrelation):
+    with pytest.raises(ValueError, match="undefined at beta = 0"):
         shifted_means(standard(0.0), sc)
     # rho != 0, but beta underflows to 0: refused, not a ZeroDivisionError.
     tiny = ProcessModel(mu_y0=0.0, mu_x0=0.0, sigma_y=0.1, sigma_x=10.0, rho=5e-324)
-    with pytest.raises(MaskingWithZeroCorrelation):
+    with pytest.raises(ValueError, match="undefined at beta = 0"):
         shifted_means(tiny, sc)
 
 
@@ -216,6 +215,13 @@ def test_distinct_keys_and_indices_differ():
     assert not np.array_equal(base.y, sample_subgroup(m, 0, 0, StreamKey(1, 1), 0).y)
     assert not np.array_equal(base.y, sample_subgroup(m, 0, 0, StreamKey(2, 0), 0).y)
     assert not np.array_equal(base.y, sample_subgroup(m, 0, 0, StreamKey(1, 0), 1).y)
+
+
+@pytest.mark.parametrize("index", [-1, 2.5, True])
+def test_subgroup_index_must_be_a_nonnegative_int(index):
+    # 2.5 and True would otherwise alias subgroups 2 and 1.
+    with pytest.raises(ValueError, match="start_index must be an integer"):
+        sample_subgroup(standard(0.6), 0, 0, StreamKey(1, 0), index)
 
 
 def test_x_stream_does_not_depend_on_rho():
