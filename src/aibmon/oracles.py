@@ -18,7 +18,10 @@ loads ``scipy.linalg`` and scipy's own OpenBLAS, about a third of a fresh
 ``import aibmon.cli`` and 23 MB of resident memory, for a single call that
 ``simulate --L``, ``table1`` and ``mask-demo`` never make. scipy is used
 for its ``ndtr`` and ``ndtri`` ufuncs only, which ``stochastics`` loads
-from ``scipy.special``'s compiled extension without the package's init.
+from two of ``scipy.special``'s compiled extensions without the package's
+init: ``ndtr`` at import from the small ``_special_ufuncs``, ``ndtri``
+from the cephes ``_ufuncs`` only when a Shewhart calibration first reads
+``stochastics.ndtri``. So an EWMA calibration never loads the latter.
 
 Everything works on the standardized scale: the plotted statistic minus
 the chart center, divided by its in-control standard deviation
@@ -35,7 +38,8 @@ import numpy as np
 
 from .charts import ChartKind
 from .errors import SingularSystem
-from .stochastics import ProcessModel, ShiftMode, ShiftScenario, ndtr, ndtri
+from . import stochastics
+from .stochastics import ProcessModel, ShiftMode, ShiftScenario, ndtr
 
 
 def standardized_shift(model: ProcessModel, scenario: ShiftScenario) -> float:
@@ -154,15 +158,22 @@ def calibrate_limit(kind: ChartKind, lam: float, target_arl0: float) -> tuple[fl
 
     Shewhart is analytic, L = Phi^-1(1 - 1 / (2 * target)), and does not
     read ``lam``. EWMA brackets the 401-state Markov-chain ARL in L and
-    solves by Brent's method to |ARL - target| < 0.1; the ARL returned is
-    the one solved at L. Both may differ in their last digits between BLAS
-    thread counts, whose Markov solves need not round alike (printed to 6
-    and 3 decimals they agree); ``simulate --target-arl0`` charts this L.
+    solves by Brent's method to |ARL - target| < max(0.1, 1e-3 * target);
+    the ARL returned is the one solved at L. Both may differ in their last
+    digits between BLAS thread counts, whose Markov solves need not round
+    alike (printed to 6 and 3 decimals they agree); ``simulate
+    --target-arl0`` charts this L.
+
+    The residual bound grows with the target because the solve's own
+    rounding does: the chain's matrix has a condition number of about the
+    ARL. At the root of a 1e12 target the residual was up to 1.3e-5 of the
+    target (lambda 0.05, 0.1 and 0.5), at 1e7 3e-8. A larger residual means
+    the ARL jumps across the target, so no L reaches it.
     """
     if not 1.0 < target_arl0 < math.inf:
         raise ValueError("target in-control ARL must be finite and exceed 1")
     if ChartKind(kind) is ChartKind.SHEWHART:
-        L = float(-ndtri(0.5 / target_arl0))
+        L = float(-stochastics.ndtri(0.5 / target_arl0))
         return L, shewhart_arl_exact(L, 0.0)
 
     # _brent re-evaluates the bracket ends and the residual check re-evaluates
@@ -209,7 +220,7 @@ def calibrate_limit(kind: ChartKind, lam: float, target_arl0: float) -> tuple[fl
             f"no L in (0, 10] reaches in-control ARL {target_arl0} at lam={lam}"
         )
     L = _brent(gap, lo, hi, xtol=1e-7)
-    if abs(gap(L)) >= 0.1:
+    if abs(gap(L)) >= max(0.1, 1e-3 * target_arl0):
         raise ValueError(f"calibration residual too large at lam={lam}")
     return L, solved[L]
 

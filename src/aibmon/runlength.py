@@ -59,6 +59,7 @@ from .stochastics import (
     SubgroupStream,
     SubstreamWords,
     check_int,
+    load_engine_code,
     normals_from_words,
     pairs_from_normals,
     shifted_means,
@@ -318,6 +319,8 @@ def _pool(size: int) -> list[tuple[int, int, int]]:
     A worker that died while idle (a Ctrl-C reaches the whole process
     group) is reaped and replaced.
     """
+    # Loaded here, workers inherit what the engine loads at its first use.
+    load_engine_code()
     for worker in [w for w in _workers if os.waitpid(w[0], os.WNOHANG)[0]]:
         _workers.remove(worker)
         _close(worker)

@@ -27,6 +27,14 @@ The bivariate draw is the conditional (Cholesky) construction, X first:
     y = mu_y + rho * sigma_y * zx + sigma_y * sqrt(1 - rho^2) * ze
 
 so the conditional-mean slope of Y on X is beta = rho * sigma_y / sigma_x.
+
+The normal CDF and quantile are scipy's ufuncs, taken from
+``scipy.special``'s compiled extensions without the package's init
+(``_ufunc``): ``ndtr``, which the oracles use, from ``_special_ufuncs`` at
+import; ``ndtri``, which the engine decodes with, from the cephes
+``_ufuncs`` at its first use (``load_engine_code``), together with
+``numpy.random``. A process that only calibrates an EWMA chart loads
+neither. Each falls back to the package, ``ndtr`` first to ``_ufuncs``.
 """
 
 from __future__ import annotations
@@ -37,58 +45,110 @@ import importlib.util
 import math
 import os
 import sys
+import threading
 import types
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy
-from numpy.random import Philox
 
 
 _U64_MAX = 2**64
 _UNIFORM_SCALE = 2.0**-53
 
 
-def _normal_ufuncs():
-    """scipy's ``ndtr`` and ``ndtri`` ufuncs, without ``scipy.special``'s init.
+def _from_extension(extension: str, name: str):
+    """Ufunc ``name`` of ``scipy/special/<extension><suffix>``, or None.
 
-    The package init imports scipy's array-API layer (``numpy.f2py``,
-    ``unittest``, ``email``, ...), half of a fresh ``import aibmon.cli``, for
-    two ufuncs of its compiled ``_ufuncs`` extension. So that extension is
-    loaded by file path, under a placeholder ``scipy.special`` through which
-    it imports its sibling extensions; the placeholder leaves ``sys.modules``
-    before this returns. A later ``import scipy.special`` runs the real
-    package, which reuses the loaded extensions: the objects are the
-    package's own either way. The file layout is scipy's private one, so a
-    missing file, a failed load or a missing name falls back to the package.
+    ``scipy.special``'s package init imports scipy's array-API layer
+    (``numpy.f2py``, ``unittest``, ``email``, ...), which would double a
+    fresh ``import aibmon.cli``, for two ufuncs. So the extension is loaded
+    by file path, without ``scipy``'s or ``scipy.special``'s package init,
+    under a placeholder ``scipy.special``
+    through which it imports its sibling extensions; the placeholder leaves
+    ``sys.modules`` before this returns, the extension stays. A later
+    ``import scipy.special`` runs the real package, which reuses the loaded
+    extensions: the ufunc is the package's own either way. The file layout
+    is scipy's private one, so a missing file, a failed load or a missing
+    name gives None.
+    """
+    module_name = "scipy.special." + extension
+    if module_name in sys.modules:
+        return getattr(sys.modules[module_name], name, None)
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        return None
+    directory = os.path.join(spec.submodule_search_locations[0], "special")
+    paths = [os.path.join(directory, extension + suffix)
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        return None
+    placeholder = types.ModuleType("scipy.special")
+    placeholder.__path__ = [directory]
+    sys.modules["scipy.special"] = placeholder
+    try:
+        file_spec = importlib.util.spec_from_file_location(module_name, path)
+        module = importlib.util.module_from_spec(file_spec)
+        sys.modules[module_name] = module
+        file_spec.loader.exec_module(module)
+        return getattr(module, name)
+    except (ImportError, AttributeError):
+        sys.modules.pop(module_name, None)
+        return None
+    finally:
+        del sys.modules["scipy.special"]
+
+
+def _ufunc(name: str, *extensions: str):
+    """scipy's ufunc ``name``, from the first of ``extensions`` that has it.
+
+    Once ``scipy.special`` is imported, or where no extension gives the
+    name (``_from_extension``), it comes from the package, whose own object
+    it is in every case.
     """
     if "scipy.special" not in sys.modules:
-        directory = os.path.join(os.path.dirname(scipy.__file__), "special")
-        paths = [os.path.join(directory, "_ufuncs" + suffix)
-                 for suffix in importlib.machinery.EXTENSION_SUFFIXES]
-        path = next((p for p in paths if os.path.isfile(p)), None)
-        if path is not None:
-            name = "scipy.special._ufuncs"
-            placeholder = types.ModuleType("scipy.special")
-            placeholder.__path__ = [directory]
-            sys.modules["scipy.special"] = placeholder
-            try:
-                spec = importlib.util.spec_from_file_location(name, path)
-                module = importlib.util.module_from_spec(spec)
-                sys.modules[name] = module
-                spec.loader.exec_module(module)
-                return module.ndtr, module.ndtri
-            except (ImportError, AttributeError):
-                sys.modules.pop(name, None)
-            finally:
-                del sys.modules["scipy.special"]
-    from scipy.special import ndtr, ndtri
-
-    return ndtr, ndtri
+        for extension in extensions:
+            ufunc = _from_extension(extension, name)
+            if ufunc is not None:
+                return ufunc
+    return getattr(importlib.import_module("scipy.special"), name)
 
 
-ndtr, ndtri = _normal_ufuncs()
+# The oracles' normal CDF. ``_special_ufuncs`` loads in about 1 ms and
+# imports nothing else; ``_ufuncs`` also has it, but brings in the scipy
+# package, three more extensions and most of the start-up.
+ndtr = _ufunc("ndtr", "_special_ufuncs", "_ufuncs")
+
+# The engine's code, loaded at its first use by load_engine_code.
+_ndtri = None
+_load_lock = threading.Lock()
+
+
+def load_engine_code():
+    """The ``ndtri`` ufunc, loading it and ``numpy.random`` on the first call.
+
+    ``ndtri`` lives only in the cephes ``_ufuncs`` extension. Loading it
+    brings in the scipy package and three more extensions; with
+    ``numpy.random`` that is about 40 ms and 10 MB of a fresh process (2
+    vCPUs), which a process that only calibrates an EWMA chart never pays.
+    The engine calls this at its first decode, and ``runlength`` before it
+    forks workers, so that they inherit both. The module attribute
+    ``ndtri`` is served by this function.
+    """
+    global _ndtri
+    with _load_lock:
+        if _ndtri is None:
+            import numpy.random  # noqa: F401  (Philox and SeedSequence)
+
+            _ndtri = _ufunc("ndtri", "_ufuncs")
+    return _ndtri
+
+
+def __getattr__(name: str):
+    if name == "ndtri":
+        return load_engine_code()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ShiftMode(str, Enum):
@@ -324,7 +384,8 @@ def normals_from_words(n: int, words: np.ndarray) -> tuple[np.ndarray, np.ndarra
     the decoded values agree bitwise.
     """
     z = _uniforms(words[..., : 2 * n])
-    ndtri(z, out=z)
+    # Once loaded, no lock: a forked worker never waits on one.
+    (_ndtri or load_engine_code())(z, out=z)
     return z[..., :n], z[..., n : 2 * n]
 
 
@@ -342,7 +403,7 @@ class SubstreamWords:
     def __init__(self, n: int, keys):
         self._wps = words_per_subgroup(n)
         self._keys = np.asarray(keys, dtype=np.uint64).tolist()
-        self._bitgen = Philox(0)
+        self._bitgen = np.random.Philox(0)
         self._state = {
             "bit_generator": "Philox",
             "state": {"counter": [0, 0, 0, 0], "key": None},

@@ -424,6 +424,15 @@ def test_calibrate_ewma_refusals_print_their_message(capsys, lam, target, messag
     assert err == f"error: {message}\n"
 
 
+def test_calibrate_ewma_reaches_a_large_target(capsys):
+    code, out, err = run(capsys, "calibrate", "--chart", "ewma",
+                         "--lambda", "0.1", "--target-arl0", "1e8")
+    assert (code, err) == (0, "")
+    fields = out.split()
+    assert fields[:5] == ["L", "5.693409", "method", "markov", "achieved_arl0"]
+    assert float(fields[5]) == pytest.approx(1e8, rel=1e-3)
+
+
 def test_calibrate_ewma_needs_lambda(capsys):
     code, _, _ = run(capsys, "calibrate", "--chart", "ewma",
                      "--target-arl0", "200")
@@ -578,73 +587,125 @@ def fresh_python(code: str, *args: str, **env: str) -> subprocess.CompletedProce
                           capture_output=True, text=True, timeout=300)
 
 
+# What a process loads only once the engine runs: the extension that holds
+# ndtri, the scipy package it brings in, and numpy.random.
+ENGINE_CODE = ("scipy", "scipy.special._ufuncs", "numpy.random")
+
+
 def test_cli_never_loads_scipy_optimize():
     # A calibration and a simulation run too, so a deferred import would
     # also be caught. "scipy.special" is the package: the loader in
-    # stochastics takes ndtr and ndtri from its extension alone.
+    # stochastics takes ndtr and ndtri from its extensions alone, and ndtri
+    # only once the engine runs.
     code = (
         "import json, sys, aibmon.cli\n"
-        "heavy = lambda: [m for m in ('scipy.optimize', 'scipy.linalg',"
-        " 'scipy.special', 'scipy._lib._array_api') if m in sys.modules]\n"
-        "loaded = [heavy()]\n"
+        "names = ('scipy.optimize', 'scipy.linalg', 'scipy.special',"
+        " 'scipy._lib._array_api') + tuple(sys.argv[1:])\n"
+        "loaded = lambda: [m for m in names if m in sys.modules]\n"
+        "seen = [loaded()]\n"
         "assert aibmon.cli.main(['calibrate', '--chart', 'ewma', '--lambda',"
         " '0.1', '--target-arl0', '200']) == 0\n"
-        "loaded.append(heavy())\n"
+        "seen.append(loaded())\n"
         "assert aibmon.cli.main(['simulate', '--chart', 'ewma', '--lambda', '0.1',"
         " '--L', '2.454', '--reps', '200', '--threads', '1']) == 0\n"
-        "loaded.append(heavy())\n"
-        "print(json.dumps(loaded))\n"
+        "seen.append(loaded())\n"
+        "print(json.dumps(seen))\n"
     )
-    proc = fresh_python(code)
+    proc = fresh_python(code, *ENGINE_CODE)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "L 2.454061 method markov achieved_arl0 200.000"
     assert lines[1].startswith("ARL ")
-    assert json.loads(lines[2]) == [[], [], []]
+    assert json.loads(lines[2]) == [[], [], list(ENGINE_CODE)]
 
 
 def test_normal_ufuncs_load_without_scipy_special_package():
-    # No skip when the file is missing: a scipy that moves ndtr or ndtri out
-    # of special/_ufuncs<suffix> fails here instead of silently losing the
-    # fast path to the fallback.
+    # No skip when a file is missing: a scipy that moves ndtr out of
+    # special/_special_ufuncs<suffix>, or ndtri out of special/_ufuncs<suffix>,
+    # fails here instead of silently losing the fast path to the fallback.
     code = (
-        "import importlib.machinery, json, os, sys\n"
+        "import importlib.machinery, importlib.util, json, os, sys\n"
         "import aibmon.cli\n"
         "from aibmon import stochastics\n"
-        "absent = [m for m in ('scipy.special', 'scipy._lib._array_api', 'numpy.f2py')"
-        " if m in sys.modules]\n"
-        "import scipy\n"
-        "directory = os.path.join(os.path.dirname(scipy.__file__), 'special')\n"
-        "files = [os.path.join(directory, '_ufuncs' + s)"
+        "heavy = ('scipy.special', 'scipy._lib._array_api', 'numpy.f2py')\n"
+        "absent = lambda names: [m for m in names if m in sys.modules]\n"
+        "after_import = absent(heavy + tuple(sys.argv[1:]))\n"
+        "directory = os.path.join("
+        "importlib.util.find_spec('scipy').submodule_search_locations[0], 'special')\n"
+        "files = lambda stem: [os.path.join(directory, stem + s)"
         " for s in importlib.machinery.EXTENSION_SUFFIXES]\n"
+        "special_ufuncs = sys.modules['scipy.special._special_ufuncs']\n"
+        "ndtri = stochastics.ndtri\n"
+        "after_first_use = absent(heavy)\n"
         "ufuncs = sys.modules['scipy.special._ufuncs']\n"
         "import scipy.special, scipy.optimize\n"
         "print(json.dumps({\n"
-        "    'absent_after_import': absent,\n"
-        "    'loaded_from_suffixed_file': ufuncs.__file__ in files,\n"
+        "    'absent_after_import': after_import,\n"
+        "    'absent_after_first_use': after_first_use,\n"
+        "    'ndtr_from_suffixed_file': special_ufuncs.__file__ in files('_special_ufuncs'),\n"
+        "    'ndtri_from_suffixed_file': ufuncs.__file__ in files('_ufuncs'),\n"
         "    'ndtr_is_package_ndtr': stochastics.ndtr is scipy.special.ndtr,\n"
-        "    'ndtri_is_package_ndtri': stochastics.ndtri is scipy.special.ndtri,\n"
-        "    'ufuncs_attribute': scipy.special._ufuncs is ufuncs,\n"
+        "    'ndtri_is_package_ndtri': ndtri is scipy.special.ndtri,\n"
+        "    'extensions_reused': [sys.modules['scipy.special._special_ufuncs']"
+        " is special_ufuncs, scipy.special._ufuncs is ufuncs],\n"
         "    'erf': float(scipy.special.erf(0.5)),\n"
         "    'brentq': scipy.optimize.brentq(lambda x: x * x - 2.0, 0.0, 2.0),\n"
         "}))\n"
     )
-    proc = fresh_python(code)
+    proc = fresh_python(code, *ENGINE_CODE)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
         "absent_after_import": [],
-        "loaded_from_suffixed_file": True,
+        "absent_after_first_use": [],
+        "ndtr_from_suffixed_file": True,
+        "ndtri_from_suffixed_file": True,
         "ndtr_is_package_ndtr": True,
         "ndtri_is_package_ndtri": True,
-        "ufuncs_attribute": True,
+        "extensions_reused": [True, True],
         "erf": pytest.approx(0.5204998778130465, rel=1e-15),
         "brentq": pytest.approx(2.0**0.5, rel=1e-12),
     }
 
 
+def test_pool_forks_after_the_engine_code_is_loaded():
+    # The parent of a 2-worker study never decodes, so without the load
+    # before the fork each worker would load the extension and numpy.random
+    # again at its first share.
+    code = (
+        "import json, os, sys\n"
+        "from aibmon import ChartKind, ProcessModel, ShiftScenario,"
+        " SimulationConfig, make_limits, runlength\n"
+        "forks, fork = [], os.fork\n"
+        "def recording_fork():\n"
+        "    forks.append([m in sys.modules for m in sys.argv[1:]])\n"
+        "    return fork()\n"
+        "os.fork = recording_fork\n"
+        "runlength.usable_cpus = lambda: 2\n"
+        "model = ProcessModel.standard(0.5)\n"
+        "config = SimulationConfig(model, ShiftScenario(),"
+        " make_limits(ChartKind.EWMA, 0.1, 2.454, model), reps=2000, master_seed=5)\n"
+        "before = [m in sys.modules for m in sys.argv[1:]]\n"
+        "runlength.simulate_run_lengths(config, threads=2)\n"
+        "print(json.dumps([before, forks]))\n"
+    )
+    proc = fresh_python(code, *ENGINE_CODE)
+    assert proc.returncode == 0, proc.stderr
+    before, forks = json.loads(proc.stdout)
+    assert before == [False] * len(ENGINE_CODE)
+    assert forks == [[True] * len(ENGINE_CODE)] * 2
+
+
 # Code run before aibmon is imported: the preloaded package, and three ways
 # the fast path can fail (no file for any suffix, a load that raises, an
-# extension without the names), each of which must fall back to the package.
+# extension without the names), each of which must fall back, to the
+# package or, for ndtr, from _special_ufuncs to _ufuncs. The unqualified
+# ones fail both extensions, the others the one they name.
+_NO_FILE = (
+    "import os.path\n"
+    "real_isfile = os.path.isfile\n"
+    "os.path.isfile = lambda p: (not os.path.basename(p).startswith('{}.')"
+    " and real_isfile(p))\n"
+)
 _PARTIAL_EXTENSION = (
     "import importlib.util\n"
     "real = importlib.util.spec_from_file_location\n"
@@ -655,36 +716,64 @@ _PARTIAL_EXTENSION = (
     "        {}\n"
     "def spec_from_file_location(name, path):\n"
     "    spec = real(name, path)\n"
-    "    spec.loader = Partial()\n"
+    "    if name.endswith('{}'):\n"
+    "        spec.loader = Partial()\n"
     "    return spec\n"
     "importlib.util.spec_from_file_location = spec_from_file_location\n"
 )
+_RAISE = "raise ImportError('simulated')"
 PRELUDES = {
     "fast": "",
     "preloaded": "import scipy.special\n",
     "no file": "import importlib.machinery\n"
                "importlib.machinery.EXTENSION_SUFFIXES = ['.no-such-suffix']\n",
-    "load raises": _PARTIAL_EXTENSION.format("raise ImportError('simulated')"),
-    "names missing": _PARTIAL_EXTENSION.format("pass"),
+    "load raises": _PARTIAL_EXTENSION.format(_RAISE, ""),
+    "names missing": _PARTIAL_EXTENSION.format("pass", ""),
 }
+for _extension in ("_special_ufuncs", "_ufuncs"):
+    PRELUDES[f"no {_extension} file"] = _NO_FILE.format(_extension)
+    PRELUDES[f"{_extension} load raises"] = _PARTIAL_EXTENSION.format(
+        _RAISE, "." + _extension)
+    PRELUDES[f"{_extension} names missing"] = _PARTIAL_EXTENSION.format(
+        "pass", "." + _extension)
 
 
-@pytest.mark.parametrize("prelude", ["preloaded", "no file", "load raises",
-                                     "names missing"])
+def fallback_loads(prelude: str) -> list[list[bool]]:
+    """Whether ``_ufuncs`` and the ``scipy.special`` package are loaded after
+    ``import aibmon.cli`` and after ndtri's first use, on a fallback path."""
+    if "_special_ufuncs" in prelude:  # ndtr from _ufuncs
+        return [[True, False], [True, False]]
+    if "_ufuncs" in prelude:  # ndtri from the package
+        return [[False, False], [True, True]]
+    return [[True, True], [True, True]]  # both from the package
+
+
+@pytest.mark.parametrize("prelude", [p for p in PRELUDES if p != "fast"])
 def test_normal_ufuncs_are_the_packages_on_every_other_path(prelude):
     code = PRELUDES[prelude] + (
         "import json, sys\n"
-        "import aibmon.cli, scipy.special\n"
+        "import aibmon.cli\n"
         "from aibmon import stochastics\n"
-        "ufuncs = sys.modules['scipy.special._ufuncs']\n"
+        "loaded = lambda: [m in sys.modules for m in"
+        " ('scipy.special._ufuncs', 'scipy.special')]\n"
+        "loads = [loaded()]\n"
+        "ndtri = stochastics.ndtri\n"
+        "loads.append(loaded())\n"
+        "print(json.dumps(loads))\n"
+        "import scipy.special\n"
+        "extension = lambda e: sys.modules['scipy.special.' + e]\n"
         "print(json.dumps([stochastics.ndtr is scipy.special.ndtr,\n"
-        "                  stochastics.ndtri is scipy.special.ndtri,\n"
-        "                  ufuncs is scipy.special._ufuncs,\n"
-        "                  ufuncs.ndtri is stochastics.ndtri]))\n"
+        "                  ndtri is scipy.special.ndtri,\n"
+        "                  stochastics.ndtri is ndtri,\n"
+        "                  extension('_special_ufuncs').ndtr is stochastics.ndtr,\n"
+        "                  extension('_ufuncs') is scipy.special._ufuncs,\n"
+        "                  extension('_ufuncs').ndtri is ndtri]))\n"
     )
     proc = fresh_python(code)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [True, True, True, True]
+    loads, identities = map(json.loads, proc.stdout.splitlines())
+    assert loads == fallback_loads(prelude)
+    assert identities == [True] * 6
 
 
 @pytest.mark.parametrize("argv", [
@@ -695,11 +784,12 @@ def test_normal_ufuncs_are_the_packages_on_every_other_path(prelude):
 def test_outputs_are_byte_identical_on_every_loader_path(argv, tmp_path):
     main_code = "import sys, aibmon.cli\nsys.exit(aibmon.cli.main(sys.argv[1:]))\n"
     results = {}
-    for path in ("fast", "preloaded", "no file"):
+    for path in ("fast", "preloaded", "no file", "no _special_ufuncs file",
+                 "no _ufuncs file"):
         out = tmp_path / f"{path}.json"
         extra = ["--out", str(out)] if argv[0] == "simulate" else []
         proc = fresh_python(PRELUDES[path] + main_code, *argv, *extra)
         results[path] = (proc.returncode, proc.stdout,
                          out.read_bytes() if extra else b"")
     assert results["fast"][0] == 0, results
-    assert results["fast"] == results["preloaded"] == results["no file"]
+    assert all(result == results["fast"] for result in results.values())

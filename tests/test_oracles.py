@@ -390,10 +390,24 @@ def test_calibration_rejects_non_finite_target(kind, lam, target):
         calibrate_limit(kind, lam, target)
 
 
-def test_calibration_reports_unreachable_target():
-    # A bracket is found, but no L brings the solved ARL within 0.1 of 1e12.
+def test_calibration_reports_unreachable_target(monkeypatch):
+    # An ARL that jumps from 100 to 1e6 at L = 3.5: the bracket [3, 4] is
+    # found and Brent closes in on the jump, where the residual stays large.
+    monkeypatch.setattr(oracles, "ewma_arl_markov",
+                        lambda lam, L, s: 100.0 if L < 3.5 else 1e6)
     with pytest.raises(ValueError, match="calibration residual too large at lam=0.5"):
-        calibrate_limit(ChartKind.EWMA, 0.5, 1e12)
+        calibrate_limit(ChartKind.EWMA, 0.5, 1000.0)
+
+
+@pytest.mark.parametrize("target", [1e7, 1e8, 1e9, 1e10, 1e11, 1e12])
+@pytest.mark.parametrize("lam", [0.05, 0.1, 0.5])
+def test_calibration_reaches_large_targets(lam, target):
+    # The solved ARL's rounding grows with the ARL, so the residual bound
+    # does too: at 1e12 the residual at the root is about 1e-5 of the target.
+    L, arl0 = calibrate_limit(ChartKind.EWMA, lam, target)
+    assert 5.0 < L < 8.0
+    assert arl0 == ewma_arl_markov(lam, L, 0.0)
+    assert abs(arl0 - target) < 1e-3 * target
 
 
 # ---------------------------------------------- Brent solver against brentq
