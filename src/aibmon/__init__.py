@@ -1,15 +1,14 @@
 """Auxiliary-information-based process monitoring toolkit.
 
-Estimators that sharpen the process-mean estimate with a correlated
-auxiliary variable, the Shewhart/EWMA charts built on them, a reproducible
+The difference estimator of the process mean, sharpened by a correlated
+auxiliary variable, the Shewhart/EWMA charts that plot it, a reproducible
 Monte Carlo run-length engine, and analytic oracles that cross-check it —
 including the studies showing how a step shift in the auxiliary mean
 inflates false alarms or masks real shifts.
 """
 
-from .charts import ChartKind, ChartSpec, make_limits
+from .charts import ChartKind, ChartSpec, difference_estimate, make_limits
 from .errors import AibmonError, ExcessCensoring, SingularSystem
-from .estimators import difference_estimate, regression_estimate
 from .experiments import (
     EquivalenceResult,
     MaskingDemo,
@@ -73,7 +72,6 @@ __all__ = [
     "masking_demo",
     "profile_deviation",
     "profile_equivalence_trials",
-    "regression_estimate",
     "reproduce_table1",
     "sample_subgroup",
     "shewhart_arl_exact",

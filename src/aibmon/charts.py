@@ -1,12 +1,13 @@
-"""Control limits and the chart recursion for the auxiliary-adjusted charts.
+"""The plotted statistic, control limits and the chart recursion.
 
-The plotted statistic is the difference estimator of the Y mean; the
-classical Shewhart/EWMA charts are the rho = 0 special case. Limits are
-symmetric about the in-control Y mean with half-width proportional to the
-standard deviation of the plotted statistic, sqrt(1 - rho^2) * sigma_y /
-sqrt(n), times the square root of the EWMA stationary variance factor
-lambda / (2 - lambda) (fixed asymptotic limits, no time index). A Shewhart
-chart is the lambda = 1 chart, whose factor is exactly 1.
+The plotted statistic is the difference estimator of the Y mean,
+``difference_estimate``; the classical Shewhart/EWMA charts are the rho = 0
+special case. Limits are symmetric about the in-control Y mean with
+half-width proportional to the standard deviation of the plotted statistic,
+sqrt(1 - rho^2) * sigma_y / sqrt(n), times the square root of the EWMA
+stationary variance factor lambda / (2 - lambda) (fixed asymptotic limits,
+no time index). A Shewhart chart is the lambda = 1 chart, whose factor is
+exactly 1.
 ``ewma_path`` is the one implementation of the recursion and of the
 signal rule; the run-length engine and ``trace`` both call it.
 """
@@ -46,7 +47,7 @@ class ChartSpec:
     def __post_init__(self):
         # "shewhart" is not ``ChartKind.SHEWHART``; any other value raises.
         object.__setattr__(self, "kind", ChartKind(self.kind))
-        if not 0.0 < self.lam <= 1.0:
+        if self.lam is None or not 0.0 < self.lam <= 1.0:
             raise ValueError(f"lambda must be in (0, 1], got {self.lam}")
         if self.kind is ChartKind.SHEWHART and self.lam != 1.0:
             raise ValueError("Shewhart chart requires lambda = 1")
@@ -83,6 +84,18 @@ def make_limits(
     base = model.sigma_y * math.sqrt(1.0 - model.rho**2) / math.sqrt(model.n)
     base *= math.sqrt(lam / (2.0 - lam))
     return dataclasses.replace(spec, half_width=limit_multiplier * base)
+
+
+def difference_estimate(
+    y_bar: float | np.ndarray, x_bar: float | np.ndarray, model: ProcessModel
+) -> float | np.ndarray:
+    """y_bar + beta * (mu_x0 - x_bar), beta = rho * sigma_y / sigma_x.
+
+    Unbiased for the mean of Y with variance (1 - rho^2) * sigma_y^2 / n;
+    reduces exactly to the sample mean at rho = 0. Works elementwise on
+    arrays of subgroup means, as the run-length engine passes them.
+    """
+    return y_bar + model.beta() * (model.mu_x0 - x_bar)
 
 
 def ewma_path(

@@ -20,8 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .charts import ChartKind, make_limits
-from .estimators import difference_estimate
+from .charts import ChartKind, difference_estimate, make_limits
 from .runlength import (
     RunLengthSummary,
     SimulationConfig,

@@ -20,8 +20,9 @@ loads ``scipy.linalg`` and scipy's own OpenBLAS, about a third of a fresh
 for its ``ndtr`` and ``ndtri`` ufuncs only, which ``stochastics`` loads
 from two of ``scipy.special``'s compiled extensions without the package's
 init: ``ndtr`` at import from the small ``_special_ufuncs``, ``ndtri``
-from the cephes ``_ufuncs`` only when a Shewhart calibration first reads
-``stochastics.ndtri``. So an EWMA calibration never loads the latter.
+from the cephes ``_ufuncs`` only when a Shewhart calibration calls
+``stochastics.load_engine_code``. So an EWMA calibration never loads the
+latter.
 
 Everything works on the standardized scale: the plotted statistic minus
 the chart center, divided by its in-control standard deviation
@@ -103,7 +104,7 @@ def ewma_arl_markov(lam: float, L: float, s: float, n_states: int = 401) -> floa
     n_states = 401 is accurate to well under 0.1% at in-control ARL 200.
     lam = 1 reproduces the Shewhart closed form, and s = +-inf gives ARL 1.
     """
-    if not 0.0 < lam <= 1.0:
+    if lam is None or not 0.0 < lam <= 1.0:
         raise ValueError(f"lambda must be in (0, 1], got {lam}")
     _check_limit_and_shift(L, s)
     integral = isinstance(n_states, (int, np.integer))
@@ -173,7 +174,7 @@ def calibrate_limit(kind: ChartKind, lam: float, target_arl0: float) -> tuple[fl
     if not 1.0 < target_arl0 < math.inf:
         raise ValueError("target in-control ARL must be finite and exceed 1")
     if ChartKind(kind) is ChartKind.SHEWHART:
-        L = float(-stochastics.ndtri(0.5 / target_arl0))
+        L = float(-stochastics.load_engine_code()(0.5 / target_arl0))
         return L, shewhart_arl_exact(L, 0.0)
 
     # _brent re-evaluates the bracket ends and the residual check re-evaluates

@@ -49,9 +49,8 @@ from typing import NoReturn
 import numpy as np
 
 from . import charts
-from .charts import ChartSpec
+from .charts import ChartSpec, difference_estimate
 from .errors import ExcessCensoring
-from .estimators import difference_estimate
 from .stochastics import (
     ProcessModel,
     ShiftScenario,

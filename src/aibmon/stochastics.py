@@ -32,7 +32,7 @@ The normal CDF and quantile are scipy's ufuncs, taken from
 ``scipy.special``'s compiled extensions without the package's init
 (``_ufunc``): ``ndtr``, which the oracles use, from ``_special_ufuncs`` at
 import; ``ndtri``, which the engine decodes with, from the cephes
-``_ufuncs`` at its first use (``load_engine_code``), together with
+``_ufuncs`` at the first call of ``load_engine_code``, together with
 ``numpy.random``. A process that only calibrates an EWMA chart loads
 neither. Each falls back to the package, ``ndtr`` first to ``_ufuncs``.
 """
@@ -64,13 +64,13 @@ def _from_extension(extension: str, name: str):
     (``numpy.f2py``, ``unittest``, ``email``, ...), which would double a
     fresh ``import aibmon.cli``, for two ufuncs. So the extension is loaded
     by file path, without ``scipy``'s or ``scipy.special``'s package init,
-    under a placeholder ``scipy.special``
-    through which it imports its sibling extensions; the placeholder leaves
-    ``sys.modules`` before this returns, the extension stays. A later
-    ``import scipy.special`` runs the real package, which reuses the loaded
-    extensions: the ufunc is the package's own either way. The file layout
-    is scipy's private one, so a missing file, a failed load or a missing
-    name gives None.
+    under a placeholder ``scipy.special`` through which it imports its
+    sibling extensions; the placeholder leaves ``sys.modules`` before this
+    returns, the extension stays. A later ``import scipy.special`` runs the
+    real package, which reuses the loaded extensions and, through
+    ``_SetExtensionAttributes``, has them as attributes: the ufunc is the
+    package's own either way. The file layout is scipy's private one, so a
+    missing file, a failed load or a missing name gives None.
     """
     module_name = "scipy.special." + extension
     if module_name in sys.modules:
@@ -92,12 +92,38 @@ def _from_extension(extension: str, name: str):
         module = importlib.util.module_from_spec(file_spec)
         sys.modules[module_name] = module
         file_spec.loader.exec_module(module)
+        if _SetExtensionAttributes not in sys.meta_path:
+            sys.meta_path.insert(0, _SetExtensionAttributes)
         return getattr(module, name)
     except (ImportError, AttributeError):
         sys.modules.pop(module_name, None)
         return None
     finally:
         del sys.modules["scipy.special"]
+
+
+class _SetExtensionAttributes:
+    """One-shot finder: before its init, the real ``scipy.special`` gets the
+    submodules loaded under the placeholder as attributes, as it would have
+    had it imported them itself."""
+
+    @staticmethod
+    def find_spec(fullname, path, target=None):
+        if fullname != "scipy.special":
+            return None
+        sys.meta_path.remove(_SetExtensionAttributes)
+        spec = importlib.util.find_spec(fullname)
+        exec_module = spec.loader.exec_module
+
+        def exec_with_extensions(package):
+            for name, module in list(sys.modules.items()):
+                parent, _, child = name.rpartition(".")
+                if parent == "scipy.special":
+                    setattr(package, child, module)
+            exec_module(package)
+
+        spec.loader.exec_module = exec_with_extensions
+        return spec
 
 
 def _ufunc(name: str, *extensions: str):
@@ -132,9 +158,9 @@ def load_engine_code():
     brings in the scipy package and three more extensions; with
     ``numpy.random`` that is about 40 ms and 10 MB of a fresh process (2
     vCPUs), which a process that only calibrates an EWMA chart never pays.
-    The engine calls this at its first decode, and ``runlength`` before it
-    forks workers, so that they inherit both. The module attribute
-    ``ndtri`` is served by this function.
+    The engine calls this at its first decode, ``runlength`` before it
+    forks workers, so that they inherit both, and a Shewhart calibration
+    for its quantile.
     """
     global _ndtri
     with _load_lock:
@@ -143,12 +169,6 @@ def load_engine_code():
 
             _ndtri = _ufunc("ndtri", "_ufuncs")
     return _ndtri
-
-
-def __getattr__(name: str):
-    if name == "ndtri":
-        return load_engine_code()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ShiftMode(str, Enum):

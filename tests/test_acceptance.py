@@ -24,8 +24,8 @@ from aibmon import (
     make_limits,
     profile_equivalence_trials,
 )
+from aibmon.charts import difference_estimate
 from aibmon.cli import main
-from aibmon.estimators import difference_estimate
 from aibmon.stochastics import SubgroupStream, pairs_from_normals
 
 REPS = 50_000

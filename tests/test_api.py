@@ -1,3 +1,4 @@
+import ast
 import os
 import re
 import subprocess
@@ -31,6 +32,28 @@ def test_readme_quick_start_runs_as_written():
     assert run.returncode == 0, run.stderr
     mc, oracle = map(float, run.stdout.split())
     assert abs(mc - oracle) <= 0.02 * oracle, (mc, oracle)
+
+
+def test_readme_layout_names_every_module():
+    # The Layout block lists each module once; a module added, renamed or
+    # deleted without its line there fails here.
+    package = Path(aibmon.__file__).parent
+    readme = (package.parents[1] / "README.md").read_text()
+    block = re.search(r"```\n(.*?)```", readme.split("## Layout", 1)[1], re.S).group(1)
+    listed = re.findall(r"^\s+(\w+\.py)\s", block, re.M)
+    modules = [p.name for p in package.glob("*.py") if p.name != "__init__.py"]
+    assert sorted(listed) == sorted(modules)
+
+
+def test_source_parses_at_the_python_floor():
+    # Syntax newer than requires-python (except* at a 3.10 floor) would
+    # otherwise show only on CI's oldest leg.
+    package = Path(aibmon.__file__).parent
+    pyproject = (package.parents[1] / "pyproject.toml").read_text()
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject, re.M)
+    version = tuple(map(int, floor.groups()))
+    for path in sorted(package.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=version)
 
 
 def test_every_benchmark_hook_resolves(monkeypatch):

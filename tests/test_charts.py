@@ -96,7 +96,8 @@ def test_invalid_lambda_rejected():
         make_limits(ChartKind.EWMA, 0.0, 2.5, model)
     # lam = 2 would divide by zero and lam > 2 take a negative square root
     # in the half-width, so the spec must reject them before that arithmetic.
-    for lam in (1.2, 2.0, 3.0, math.nan):
+    # None is how a caller gives no lambda; it too must be a ValueError.
+    for lam in (1.2, 2.0, 3.0, math.nan, None):
         with pytest.raises(ValueError, match="lambda must be in"):
             make_limits(ChartKind.EWMA, lam, 2.5, model)
     with pytest.raises(ValueError, match="Shewhart chart requires lambda = 1"):
@@ -104,8 +105,9 @@ def test_invalid_lambda_rejected():
 
 
 def test_shewhart_forces_lambda_one():
-    spec = make_limits(ChartKind.SHEWHART, 0.3, 2.807, ProcessModel.standard(0.0))
-    assert spec.lam == 1.0
+    for lam in (0.3, None):
+        spec = make_limits(ChartKind.SHEWHART, lam, 2.807, ProcessModel.standard(0.0))
+        assert spec.lam == 1.0
 
 
 def test_chart_spec_takes_a_kind_string_and_refuses_others():

@@ -635,7 +635,7 @@ def test_normal_ufuncs_load_without_scipy_special_package():
         "files = lambda stem: [os.path.join(directory, stem + s)"
         " for s in importlib.machinery.EXTENSION_SUFFIXES]\n"
         "special_ufuncs = sys.modules['scipy.special._special_ufuncs']\n"
-        "ndtri = stochastics.ndtri\n"
+        "ndtri = stochastics.load_engine_code()\n"
         "after_first_use = absent(heavy)\n"
         "ufuncs = sys.modules['scipy.special._ufuncs']\n"
         "import scipy.special, scipy.optimize\n"
@@ -665,6 +665,33 @@ def test_normal_ufuncs_load_without_scipy_special_package():
         "erf": pytest.approx(0.5204998778130465, rel=1e-15),
         "brentq": pytest.approx(2.0**0.5, rel=1e-12),
     }
+
+
+@pytest.mark.parametrize("before", ["", "runlength.simulate_run_lengths(config, threads=1)\n"],
+                         ids=["after import", "after a study"])
+def test_scipy_special_gets_the_loaded_extensions_as_attributes(before):
+    # In a process without aibmon, scipy.special has each of these as an
+    # attribute (scipy's own tests read them so). The loader's extensions,
+    # and those they import, must be set on the real package too, and the
+    # hook that sets them must leave sys.meta_path as it found it.
+    code = (
+        "import json, sys\n"
+        "meta_path = list(sys.meta_path)\n"
+        "from aibmon import ChartKind, ProcessModel, ShiftScenario,"
+        " SimulationConfig, make_limits, runlength, stochastics\n"
+        "model = ProcessModel.standard(0.5)\n"
+        "config = SimulationConfig(model, ShiftScenario(),"
+        " make_limits(ChartKind.EWMA, 0.1, 2.454, model), reps=200, master_seed=5)\n"
+        + before +
+        "import scipy.special\n"
+        "print(json.dumps([[hasattr(scipy.special, name) for name in sys.argv[1:]],\n"
+        "                  sys.meta_path == meta_path,\n"
+        "                  stochastics.ndtr is scipy.special.ndtr]))\n"
+    )
+    names = ("_special_ufuncs", "_ufuncs", "_ufuncs_cxx", "_gufuncs", "_ellip_harm_2")
+    proc = fresh_python(code, *names)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[True] * len(names), True, True]
 
 
 def test_pool_forks_after_the_engine_code_is_loaded():
@@ -757,14 +784,14 @@ def test_normal_ufuncs_are_the_packages_on_every_other_path(prelude):
         "loaded = lambda: [m in sys.modules for m in"
         " ('scipy.special._ufuncs', 'scipy.special')]\n"
         "loads = [loaded()]\n"
-        "ndtri = stochastics.ndtri\n"
+        "ndtri = stochastics.load_engine_code()\n"
         "loads.append(loaded())\n"
         "print(json.dumps(loads))\n"
         "import scipy.special\n"
         "extension = lambda e: sys.modules['scipy.special.' + e]\n"
         "print(json.dumps([stochastics.ndtr is scipy.special.ndtr,\n"
         "                  ndtri is scipy.special.ndtri,\n"
-        "                  stochastics.ndtri is ndtri,\n"
+        "                  stochastics.load_engine_code() is ndtri,\n"
         "                  extension('_special_ufuncs').ndtr is stochastics.ndtr,\n"
         "                  extension('_ufuncs') is scipy.special._ufuncs,\n"
         "                  extension('_ufuncs').ndtri is ndtri]))\n"

@@ -1,17 +1,10 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aibmon import (
-    PairedSample,
-    ProcessModel,
-    StreamKey,
-    difference_estimate,
-    regression_estimate,
-)
+from aibmon import ProcessModel, StreamKey, difference_estimate
 from aibmon.stochastics import SubgroupStream, pairs_from_normals
 
 
@@ -29,24 +22,6 @@ def test_difference_estimate_substitution():
     # beta = 0.5, mu_x0 = 0: 2 + 0.5 * (0 - 3) = 0.5
     model = ProcessModel(0.0, 0.0, 1.0, 1.0, rho=0.5)
     assert difference_estimate(2.0, 3.0, model) == 0.5
-
-
-def test_regression_estimate_hand_computation():
-    sample = PairedSample(y=[1.0, 3.0], x=[2.0, 4.0])
-    assert regression_estimate(sample, 3.0) == 2.0  # slope 1, x_bar = mu_x
-    assert regression_estimate(sample, 5.0) == pytest.approx(4.0)
-
-
-def test_regression_estimate_errors():
-    with pytest.raises(ValueError, match="size >= 2"):
-        regression_estimate(PairedSample(y=[1.0], x=[1.0]), 0.0)
-    with pytest.raises(ValueError, match="constant x"):
-        regression_estimate(PairedSample(y=[1.0, 2.0], x=[3.0, 3.0]), 0.0)
-
-
-def test_regression_equals_y_bar_when_x_bar_hits_mu_x():
-    sample = PairedSample(y=[0.4, 1.9, -2.2], x=[1.0, 2.0, 3.0])
-    assert regression_estimate(sample, 2.0) == float(sample.y.mean())
 
 
 # ----------------------------------------------------------- reductions
@@ -95,20 +70,3 @@ def test_variance_reduction_matches_one_minus_rho_squared(rho):
     diff = ybar + model.beta() * (model.mu_x0 - xbar)
     ratio = diff.var(ddof=1) / ybar.var(ddof=1)
     assert ratio == pytest.approx(1 - rho**2, rel=0.05)
-
-
-def test_regression_estimator_converges_to_difference_estimator():
-    # Mean-square gap shrinks as the within-subgroup slope estimate tightens.
-    gaps = {}
-    for n in (5, 20, 80):
-        model = ProcessModel.standard(0.5, n=n)
-        zx, ze = SubgroupStream(n, StreamKey(303, 0)).take(20_000)
-        y, x = pairs_from_normals(model, 0.0, 0.0, zx, ze)
-        sq = []
-        for i in range(y.shape[0]):
-            s = PairedSample(y=y[i], x=x[i])
-            z = difference_estimate(float(s.y.mean()), float(s.x.mean()), model)
-            sq.append((regression_estimate(s, 0.0) - z) ** 2)
-        gaps[n] = float(np.mean(sq))
-    assert gaps[5] > gaps[20] > gaps[80]
-    assert gaps[80] < 3e-4

@@ -150,8 +150,9 @@ def test_markov_validates_inputs():
         ewma_arl_markov(0.1, 2.454, 0.0, n_states=400)  # even
     with pytest.raises(ValueError):
         ewma_arl_markov(0.1, 2.454, 0.0, n_states=49)  # too few
-    with pytest.raises(ValueError, match="lambda must be in"):
-        ewma_arl_markov(0.0, 2.454, 0.0)
+    for lam in (0.0, None):
+        with pytest.raises(ValueError, match="lambda must be in"):
+            ewma_arl_markov(lam, 2.454, 0.0)
     with pytest.raises(ValueError):
         ewma_arl_markov(0.1, -1.0, 0.0)
 
@@ -345,6 +346,16 @@ def test_calibration_bracket_walks_down_from_two(monkeypatch, target, first):
     L, _ = calibrate_limit(ChartKind.EWMA, 0.5, target)
     assert solved[: len(first)] == first
     assert ewma_arl_markov(0.5, L, 0.0) == pytest.approx(target, abs=0.1)
+
+
+def test_calibration_refuses_a_missing_lambda():
+    # None used to reach the Markov solve's range check and raise a TypeError;
+    # a Shewhart calibration still ignores lambda.
+    with pytest.raises(ValueError, match=r"lambda must be in \(0, 1\], got None"):
+        calibrate_limit(ChartKind.EWMA, None, 200.0)
+    assert calibrate_limit(ChartKind.SHEWHART, None, 200.0) == calibrate_limit(
+        ChartKind.SHEWHART, 1.0, 200.0
+    )
 
 
 def test_calibration_reports_target_reached_below_smallest_limit():

@@ -27,7 +27,7 @@ from aibmon import (
     make_limits,
     trace,
 )
-from aibmon import estimators, runlength, sample_subgroup, shifted_means
+from aibmon import charts, runlength, sample_subgroup, shifted_means
 from aibmon.runlength import (
     simulate_run_lengths,
     summarize_run_lengths,
@@ -722,7 +722,7 @@ def scalar_walk(config, key, n_subgroups):
         mu = (model.mu_y0, model.mu_x0) if t <= scenario.changepoint else (mu_y1, mu_x1)
         sample = sample_subgroup(model, mu[0], mu[1], key, t - 1)
         y_bar, x_bar = float(sample.y.mean()), float(sample.x.mean())
-        z = estimators.difference_estimate(y_bar, x_bar, model)
+        z = charts.difference_estimate(y_bar, x_bar, model)
         w = lam * z + (1 - lam) * w
         yield t, x_bar, y_bar, z, w, abs(w - spec.center) > spec.half_width
 
@@ -861,7 +861,7 @@ def test_trace_single_in_control_subgroup():
     assert len(points) == 1
     p = points[0]
     sample = sample_subgroup(model, 0.0, 0.0, StreamKey(5, 0), 0)
-    z1 = estimators.difference_estimate(
+    z1 = charts.difference_estimate(
         float(sample.y.mean()), float(sample.x.mean()), model
     )
     assert p.t == 1
