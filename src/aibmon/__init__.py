@@ -34,7 +34,6 @@ from .runlength import (
     trace,
 )
 from .stochastics import (
-    PairedSample,
     ProcessModel,
     ShiftMode,
     ShiftScenario,
@@ -52,7 +51,6 @@ __all__ = [
     "EquivalenceResult",
     "ExcessCensoring",
     "MaskingDemo",
-    "PairedSample",
     "ProcessModel",
     "RunLengthSummary",
     "ShiftMode",

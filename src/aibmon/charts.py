@@ -33,9 +33,9 @@ class ChartKind(str, Enum):
 class ChartSpec:
     """Chart kind, smoothing, limit multiplier, center and limit half-width.
 
-    ``half_width`` is precomputed; ``make_limits`` is the normal way to get
-    a consistent spec. A zero half-width is tolerated only as a degenerate
-    always-signal configuration for tests.
+    ``half_width`` is precomputed. ``make_limits`` builds a model's spec,
+    and a ``SimulationConfig`` takes no other; a hand-built one, a zero
+    half-width included, serves ``ewma_path`` alone.
     """
 
     kind: ChartKind

@@ -29,7 +29,6 @@ from .runlength import (
     trace,
 )
 from .stochastics import (
-    PairedSample,
     ProcessModel,
     ShiftMode,
     ShiftScenario,
@@ -220,9 +219,9 @@ def masking_demo(
     )
 
 
-def profile_deviation(sample: PairedSample, a0: float, b0: float) -> float:
-    """Mean deviation of a subgroup from the in-control line y = a0 + b0 * x."""
-    return float(sample.y.mean()) - a0 - b0 * float(sample.x.mean())
+def profile_deviation(y_bar: float, x_bar: float, a0: float, b0: float) -> float:
+    """Deviation of a subgroup's means from the in-control line y = a0 + b0 * x."""
+    return y_bar - a0 - b0 * x_bar
 
 
 # Largest gap, in units in the last place, between the two evaluation orders
@@ -246,28 +245,23 @@ class EquivalenceResult:
 
 
 def equivalence_check(
-    sample: PairedSample, model: ProcessModel, a0: float
+    y_bar: float, x_bar: float, model: ProcessModel, a0: float
 ) -> EquivalenceResult:
     """Verify the identity: statistic = profile deviation + (a0 + beta * mu_x0).
 
-    The in-control profile line has intercept ``a0`` and the process's own
-    slope, beta. Both sides use the same known X mean. The two evaluation
-    orders differ only by rounding, so the gap is measured in units in the
-    last place at the scale of the terms involved and must stay at or below
-    ``EQUIVALENCE_TOLERANCE_ULP``.
+    ``y_bar`` and ``x_bar`` are a subgroup's two means, as the statistic
+    takes them. The in-control profile line has intercept ``a0`` and the
+    process's own slope, beta. Both sides use the same known X mean. The two
+    evaluation orders differ only by rounding, so the gap is measured in
+    units in the last place at the scale of the terms involved and must stay
+    at or below ``EQUIVALENCE_TOLERANCE_ULP``.
     """
     b0 = model.beta()
-    aib = difference_estimate(float(sample.y.mean()), float(sample.x.mean()), model)
-    deviation = profile_deviation(sample, a0, b0)
+    aib = difference_estimate(y_bar, x_bar, model)
+    deviation = profile_deviation(y_bar, x_bar, a0, b0)
     constant = a0 + b0 * model.mu_x0
     gap = abs(aib - (deviation + constant))
-    scale = max(
-        abs(aib),
-        abs(deviation),
-        abs(constant),
-        abs(a0),
-        abs(b0 * float(sample.x.mean())),
-    )
+    scale = max(abs(aib), abs(deviation), abs(constant), abs(a0), abs(b0 * x_bar))
     gap_ulp = gap / np.spacing(max(scale, 1e-300))
     return EquivalenceResult(
         aib=aib,
@@ -297,9 +291,10 @@ def profile_equivalence_trials(trials: int, master_seed: int = 0) -> float:
             rho=float(rng.uniform(-0.95, 0.95)),
             n=int(rng.integers(1, 11)),
         )
-        sample = sample_subgroup(
+        y, x = sample_subgroup(
             model, model.mu_y0, model.mu_x0, StreamKey(master_seed, i), 0
         )
         a0 = float(rng.uniform(-3.0, 3.0))
-        worst = max(worst, equivalence_check(sample, model, a0).gap_ulp)
+        check = equivalence_check(float(y.mean()), float(x.mean()), model, a0)
+        worst = max(worst, check.gap_ulp)
     return worst

@@ -143,6 +143,12 @@ class SimulationConfig:
         means = shifted_means(self.model, self.scenario)
         if not np.isfinite(means).all():
             raise ValueError(f"shifted means (mu_y1, mu_x1) must be finite, got {means}")
+        # The oracles read only the spec's lam and L and assume the limits
+        # make_limits gives them for this model, so a spec built for another
+        # model would make them disagree with the engine.
+        spec, model = self.spec, self.model
+        if spec != charts.make_limits(spec.kind, spec.lam, spec.limit_multiplier, model):
+            raise ValueError("spec must be make_limits(kind, lam, L, model) for this model")
 
 
 def _subgroup_statistics(

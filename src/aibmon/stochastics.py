@@ -220,10 +220,10 @@ class ShiftScenario:
     """Out-of-control description in standardized shift units.
 
     ``delta_y`` and ``delta_x`` are shifts in units of sigma/sqrt(n). In
-    MASKING mode ``delta_x`` is ignored: the X shift is derived internally
-    so that it exactly cancels the Y shift inside the auxiliary-adjusted
-    statistic. ``changepoint`` counts in-control subgroups before the shift
-    (0 = shift active from the first subgroup).
+    MASKING mode the X shift is derived from ``delta_y`` so that it exactly
+    cancels the Y shift inside the auxiliary-adjusted statistic, and a
+    nonzero ``delta_x`` is refused. ``changepoint`` counts in-control
+    subgroups before the shift (0 = shift active from the first subgroup).
     """
 
     delta_y: float = 0.0
@@ -237,24 +237,11 @@ class ShiftScenario:
         check_int("changepoint", self.changepoint, 0)
         # "masking" is not ``ShiftMode.MASKING``; any other value raises.
         object.__setattr__(self, "mode", ShiftMode(self.mode))
-
-
-@dataclass(frozen=True)
-class PairedSample:
-    """One subgroup of n (y, x) pairs."""
-
-    y: np.ndarray
-    x: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=np.float64))
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=np.float64))
-        if self.y.shape != self.x.shape or self.y.ndim != 1 or self.y.size < 1:
-            raise ValueError("y and x must be equal-length 1-d vectors")
-
-    @property
-    def n(self) -> int:
-        return self.y.size
+        if self.mode is ShiftMode.MASKING and self.delta_x != 0:
+            raise ValueError(
+                "delta_x must be 0 in masking mode, where the X shift is derived "
+                f"from delta_y, got {self.delta_x!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -512,13 +499,13 @@ def sample_subgroup(
     mu_x: float,
     key: StreamKey,
     subgroup_index: int,
-) -> PairedSample:
-    """Draw subgroup ``subgroup_index`` of the replication addressed by ``key``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Subgroup ``subgroup_index`` of the replication addressed by ``key``.
 
-    The draw is a pure function of (key, subgroup_index): replaying the same
-    arguments gives a bit-identical PairedSample. Means are supplied by the
+    Returns its ``(y, x)`` pair of length-n arrays, as ``pairs_from_normals``
+    does. The draw is a pure function of (key, subgroup_index): replaying the
+    same arguments gives bit-identical arrays. Means are supplied by the
     caller so the same substream serves in-control and shifted regimes.
     """
     zx, ze = SubgroupStream(model.n, key, start_index=subgroup_index).take(1)
-    y, x = pairs_from_normals(model, mu_y, mu_x, zx[0], ze[0])
-    return PairedSample(y=y, x=x)
+    return pairs_from_normals(model, mu_y, mu_x, zx[0], ze[0])

@@ -108,6 +108,19 @@ def test_simulate_rejects_masking_with_zero_rho(capsys):
     assert err == "error: masking-coupled shift undefined at beta = 0 (rho = 0.0)\n"
 
 
+def test_simulate_rejects_masking_with_an_x_shift(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "estimate_runlength", _study_must_not_run)
+    code, out, err = run(
+        capsys, "simulate", "--chart", "ewma", "--L", "2.454", "--rho", "0.5",
+        "--mode", "masking", "--delta-y", "1", "--delta-x", "1", "--reps", "10",
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: delta_x must be 0 in masking mode, where the X shift is derived "
+        "from delta_y, got 1.0\n"
+    )
+
+
 def test_simulate_rejects_lambda_outside_unit_interval(capsys):
     code, out, err = run(capsys, "simulate", "--chart", "ewma", "--lambda", "0",
                          "--L", "2.454", "--reps", "100")

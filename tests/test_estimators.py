@@ -45,8 +45,8 @@ def test_vectorized_means_agree_with_api():
     from aibmon import sample_subgroup
 
     for t in range(5):
-        s = sample_subgroup(model, 0.0, 0.0, StreamKey(42, 0), t)
-        assert float(s.y.mean()) == ybar[t] and float(s.x.mean()) == xbar[t]
+        y, x = sample_subgroup(model, 0.0, 0.0, StreamKey(42, 0), t)
+        assert float(y.mean()) == ybar[t] and float(x.mean()) == xbar[t]
 
 
 # ------------------------------------------------------------- MC oracles

@@ -8,7 +8,6 @@ from scipy.stats import ks_2samp
 from aibmon import experiments
 from aibmon import (
     ChartKind,
-    PairedSample,
     ProcessModel,
     ShiftMode,
     ShiftScenario,
@@ -202,22 +201,21 @@ def test_equal_residual_shifts_have_equal_arl():
 
 
 def test_profile_deviation_values():
-    on_line = PairedSample(y=[5.0], x=[2.0])
-    assert profile_deviation(on_line, 1.0, 2.0) == 0.0
-    above = PairedSample(y=[6.0], x=[2.0])
-    assert profile_deviation(above, 1.0, 2.0) == 1.0
+    assert profile_deviation(5.0, 2.0, 1.0, 2.0) == 0.0  # on the line
+    assert profile_deviation(6.0, 2.0, 1.0, 2.0) == 1.0  # one above it
 
 
 def test_profile_deviation_zero_for_exact_line_data():
     x = np.array([-1.0, 0.0, 1.0, 2.0])
-    sample = PairedSample(y=0.7 - 1.3 * x, x=x)
-    assert profile_deviation(sample, 0.7, -1.3) == pytest.approx(0.0, abs=1e-12)
+    y = 0.7 - 1.3 * x
+    deviation = profile_deviation(float(y.mean()), float(x.mean()), 0.7, -1.3)
+    assert deviation == pytest.approx(0.0, abs=1e-12)
 
 
 def test_equivalence_exactly_when_constant_vanishes():
     model = ProcessModel.standard(0.5)
-    sample = sample_subgroup(model, 0.0, 0.0, StreamKey(61, 0), 0)
-    result = equivalence_check(sample, model, 0.0)
+    y, x = sample_subgroup(model, 0.0, 0.0, StreamKey(61, 0), 0)
+    result = equivalence_check(float(y.mean()), float(x.mean()), model, 0.0)
     assert result.gap == 0.0
     assert result.constant == 0.0
     assert result.ok
@@ -225,8 +223,8 @@ def test_equivalence_exactly_when_constant_vanishes():
 
 def test_equivalence_on_offset_model():
     model = ProcessModel(mu_y0=4.0, mu_x0=-2.0, sigma_y=1.5, sigma_x=0.5, rho=0.7, n=6)
-    sample = sample_subgroup(model, model.mu_y0, model.mu_x0, StreamKey(62, 0), 0)
-    result = equivalence_check(sample, model, 2.5)
+    y, x = sample_subgroup(model, model.mu_y0, model.mu_x0, StreamKey(62, 0), 0)
+    result = equivalence_check(float(y.mean()), float(x.mean()), model, 2.5)
     assert result.ok
     assert result.aib == pytest.approx(result.deviation + result.constant, rel=1e-12)
 
@@ -253,10 +251,11 @@ def test_profile_equivalence_values_are_pinned():
                 rho=float(rng.uniform(-0.95, 0.95)),
                 n=int(rng.integers(1, 11)),
             )
-            sample = sample_subgroup(
+            y, x = sample_subgroup(
                 model, model.mu_y0, model.mu_x0, StreamKey(seed, i), 0
             )
-            r = equivalence_check(sample, model, float(rng.uniform(-3.0, 3.0)))
+            a0 = float(rng.uniform(-3.0, 3.0))
+            r = equivalence_check(float(y.mean()), float(x.mean()), model, a0)
             digest.update(repr((r.aib, r.deviation, r.constant, r.gap, r.gap_ulp)).encode())
             worst = max(worst, r.gap_ulp)
         assert worst == profile_equivalence_trials(2000, seed)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import pickle
@@ -15,7 +16,6 @@ from hypothesis import strategies as st
 
 from aibmon import (
     ChartKind,
-    ChartSpec,
     ExcessCensoring,
     ProcessModel,
     ShiftMode,
@@ -55,11 +55,13 @@ def shewhart_config(rho=0.0, reps=1000, seed=7, **scenario_kwargs):
 
 
 def test_zero_half_width_always_signals():
+    # At rho = 0 and n = 1 the statistic is the residual normal itself, which
+    # is never 0 (no uniform is exactly 1/2), so every subgroup signals.
     model = ProcessModel.standard(0.0)
     config = SimulationConfig(
         model=model,
         scenario=ShiftScenario(),
-        spec=ChartSpec(ChartKind.SHEWHART, 1.0, 2.807, center=0.0, half_width=0.0),
+        spec=make_limits(ChartKind.SHEWHART, 1.0, 1e-300, model),
         reps=50,
         master_seed=1,
     )
@@ -720,8 +722,8 @@ def scalar_walk(config, key, n_subgroups):
     w = spec.center
     for t in range(1, n_subgroups + 1):
         mu = (model.mu_y0, model.mu_x0) if t <= scenario.changepoint else (mu_y1, mu_x1)
-        sample = sample_subgroup(model, mu[0], mu[1], key, t - 1)
-        y_bar, x_bar = float(sample.y.mean()), float(sample.x.mean())
+        y, x = sample_subgroup(model, mu[0], mu[1], key, t - 1)
+        y_bar, x_bar = float(y.mean()), float(x.mean())
         z = charts.difference_estimate(y_bar, x_bar, model)
         w = lam * z + (1 - lam) * w
         yield t, x_bar, y_bar, z, w, abs(w - spec.center) > spec.half_width
@@ -753,7 +755,7 @@ def test_pre_changepoint_signals_are_not_counted():
     config = SimulationConfig(
         model=model,
         scenario=ShiftScenario(delta_y=1.0, changepoint=5),
-        spec=ChartSpec(ChartKind.SHEWHART, 1.0, 2.807, center=0.0, half_width=0.0),
+        spec=make_limits(ChartKind.SHEWHART, 1.0, 1e-300, model),
         reps=20,
         master_seed=3,
     )
@@ -792,6 +794,32 @@ def test_config_validation():
     for seed in (-1, 2**64, True):
         with pytest.raises(ValueError):
             SimulationConfig(model, ShiftScenario(), spec, reps=10, master_seed=seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(ChartKind),
+    lam=st.floats(0.01, 1.0),
+    limit=st.floats(0.5, 4.0),
+    mu_y0=st.floats(-5.0, 5.0),
+    sigma_y=st.floats(0.1, 10.0),
+    rho=st.floats(-0.9, 0.9),
+    n=st.integers(1, 10),
+    field=st.sampled_from(["mu_y0", "sigma_y", "rho", "n"]),
+)
+def test_config_takes_only_its_own_models_limits(
+    kind, lam, limit, mu_y0, sigma_y, rho, n, field
+):
+    # The oracles assume the limits make_limits gives the config's model, so
+    # a spec built for a model with another center or statistic sd is refused.
+    model = ProcessModel(mu_y0, 0.0, sigma_y, 1.0, rho, n)
+    spec = make_limits(kind, lam, limit, model)
+    SimulationConfig(model, ShiftScenario(), spec)
+    moved = {"mu_y0": mu_y0 + 1.0, "sigma_y": 2.0 * sigma_y,
+             "rho": 0.95 if abs(rho) < 0.5 else 0.0, "n": n + 1}[field]
+    other = dataclasses.replace(model, **{field: moved})
+    with pytest.raises(ValueError, match="make_limits"):
+        SimulationConfig(other, ShiftScenario(), spec)
 
 
 @pytest.mark.parametrize(
@@ -860,10 +888,8 @@ def test_trace_single_in_control_subgroup():
     points = trace(config, 0, 1)
     assert len(points) == 1
     p = points[0]
-    sample = sample_subgroup(model, 0.0, 0.0, StreamKey(5, 0), 0)
-    z1 = charts.difference_estimate(
-        float(sample.y.mean()), float(sample.x.mean()), model
-    )
+    y, x = sample_subgroup(model, 0.0, 0.0, StreamKey(5, 0), 0)
+    z1 = charts.difference_estimate(float(y.mean()), float(x.mean()), model)
     assert p.t == 1
     assert p.z == z1
     assert p.w == spec.lam * z1 + (1 - spec.lam) * spec.center
@@ -898,7 +924,7 @@ def test_trace_regime_labels_and_limits():
 
 def test_trace_does_not_stop_at_signals():
     model = ProcessModel.standard(0.0)
-    spec = ChartSpec(ChartKind.SHEWHART, 1.0, 2.807, center=0.0, half_width=0.0)
+    spec = make_limits(ChartKind.SHEWHART, 1.0, 1e-300, model)
     config = SimulationConfig(model, ShiftScenario(), spec, reps=1, master_seed=9)
     points = trace(config, 0, 30)
     assert len(points) == 30

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aibmon import (
-    PairedSample,
     ProcessModel,
     ShiftMode,
     ShiftScenario,
@@ -130,11 +129,6 @@ def test_rekeyed_words_equal_numpy_philox_streams(n):
             assert np.array_equal(got, reference[row][start : start + count])
 
 
-def test_paired_sample_requires_matching_vectors():
-    with pytest.raises(ValueError):
-        PairedSample(y=[1.0, 2.0], x=[1.0])
-
-
 # ------------------------------------------------------------- shifted_means
 
 
@@ -158,6 +152,14 @@ def test_scenario_mode_takes_its_string_value_and_refuses_others():
     assert standardized_shift(standard(0.5), sc) == 0.0
     with pytest.raises(ValueError, match="ShiftMode"):
         ShiftScenario(mode="bogus")
+
+
+@pytest.mark.parametrize("mode", [ShiftMode.MASKING, "masking"], ids=["member", "string"])
+def test_masking_refuses_an_x_shift(mode):
+    # The X shift is derived from delta_y; a given one would otherwise be ignored.
+    with pytest.raises(ValueError, match="X shift is derived from delta_y, got 5.0"):
+        ShiftScenario(delta_y=1.0, delta_x=5.0, mode=mode)
+    assert ShiftScenario(delta_y=1.0, delta_x=-0.0, mode=mode).mode is ShiftMode.MASKING
 
 
 def test_masking_zero_shift_is_zero():
@@ -204,17 +206,17 @@ def test_masking_shift_cancels_in_the_statistic(rho, sigma_y, sigma_x, delta_y, 
 def test_replay_is_bit_identical():
     m = standard(0.6, n=5)
     key = StreamKey(123, 45)
-    a = sample_subgroup(m, 1.0, -1.0, key, 9)
-    b = sample_subgroup(m, 1.0, -1.0, key, 9)
-    assert np.array_equal(a.y, b.y) and np.array_equal(a.x, b.x)
+    ya, xa = sample_subgroup(m, 1.0, -1.0, key, 9)
+    yb, xb = sample_subgroup(m, 1.0, -1.0, key, 9)
+    assert np.array_equal(ya, yb) and np.array_equal(xa, xb)
 
 
 def test_distinct_keys_and_indices_differ():
     m = standard(0.6)
-    base = sample_subgroup(m, 0, 0, StreamKey(1, 0), 0)
-    assert not np.array_equal(base.y, sample_subgroup(m, 0, 0, StreamKey(1, 1), 0).y)
-    assert not np.array_equal(base.y, sample_subgroup(m, 0, 0, StreamKey(2, 0), 0).y)
-    assert not np.array_equal(base.y, sample_subgroup(m, 0, 0, StreamKey(1, 0), 1).y)
+    base, _ = sample_subgroup(m, 0, 0, StreamKey(1, 0), 0)
+    assert not np.array_equal(base, sample_subgroup(m, 0, 0, StreamKey(1, 1), 0)[0])
+    assert not np.array_equal(base, sample_subgroup(m, 0, 0, StreamKey(2, 0), 0)[0])
+    assert not np.array_equal(base, sample_subgroup(m, 0, 0, StreamKey(1, 0), 1)[0])
 
 
 @pytest.mark.parametrize("index", [-1, 2.5, True])
@@ -227,8 +229,8 @@ def test_subgroup_index_must_be_a_nonnegative_int(index):
 def test_x_stream_does_not_depend_on_rho():
     # Conditional construction draws X first: its words are rho-independent.
     key = StreamKey(7, 3)
-    x0 = sample_subgroup(standard(0.0, 4), 0, 0, key, 2).x
-    x9 = sample_subgroup(standard(0.9, 4), 0, 0, key, 2).x
+    _, x0 = sample_subgroup(standard(0.0, 4), 0, 0, key, 2)
+    _, x9 = sample_subgroup(standard(0.9, 4), 0, 0, key, 2)
     assert np.array_equal(x0, x9)
 
 
