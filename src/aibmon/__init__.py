@@ -8,7 +8,6 @@ inflates false alarms or masks real shifts.
 """
 
 from .charts import ChartKind, ChartSpec, difference_estimate, make_limits
-from .errors import AibmonError, ExcessCensoring, SingularSystem
 from .experiments import (
     EquivalenceResult,
     MaskingDemo,
@@ -20,6 +19,7 @@ from .experiments import (
     reproduce_table1,
 )
 from .oracles import (
+    SingularSystem,
     analytic_arl,
     calibrate_limit,
     ewma_arl_markov,
@@ -27,6 +27,7 @@ from .oracles import (
     standardized_shift,
 )
 from .runlength import (
+    ExcessCensoring,
     RunLengthSummary,
     SimulationConfig,
     TracePoint,
@@ -45,7 +46,6 @@ from .stochastics import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AibmonError",
     "ChartKind",
     "ChartSpec",
     "EquivalenceResult",

@@ -14,7 +14,6 @@ import sys
 from pathlib import Path
 
 from .charts import ChartKind, make_limits
-from .errors import AibmonError, ExcessCensoring
 from .experiments import (
     EQUIVALENCE_TOLERANCE_ULP,
     masking_demo,
@@ -24,10 +23,11 @@ from .experiments import (
     table1_csv_lines,
     trace_csv_lines,
 )
-from .oracles import calibrate_limit
+from .oracles import SingularSystem, calibrate_limit
 from .oracles import ewma_arl_markov  # noqa: F401  (bench/layers.py hooks this name)
 from .runlength import (
     PERCENTILE_LEVELS,
+    ExcessCensoring,
     RunLengthSummary,
     SimulationConfig,
     estimate_runlength,
@@ -356,7 +356,7 @@ def main(argv=None) -> int:
     except ExcessCensoring as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (AibmonError, ValueError, OSError) as exc:
+    except (SingularSystem, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -279,7 +279,7 @@ def profile_equivalence_trials(trials: int, master_seed: int = 0) -> float:
     own substream and a random intercept, and measures the decomposition
     gap. Returns the maximum over all trials.
     """
-    check_int("trials", trials, 1)
+    trials = check_int("trials", trials, 1)
     rng = np.random.default_rng(master_seed)
     worst = 0.0
     for i in range(trials):

@@ -38,9 +38,8 @@ from collections.abc import Callable
 import numpy as np
 
 from .charts import ChartKind
-from .errors import SingularSystem
 from . import stochastics
-from .stochastics import ProcessModel, ShiftMode, ShiftScenario, ndtr
+from .stochastics import ProcessModel, ShiftMode, ShiftScenario, check_int, ndtr
 
 
 def standardized_shift(model: ProcessModel, scenario: ShiftScenario) -> float:
@@ -81,6 +80,10 @@ def shewhart_arl_exact(L: float, s: float) -> float:
     return 1.0 / p
 
 
+class SingularSystem(Exception):
+    """The Markov-chain linear system is numerically singular."""
+
+
 def ewma_arl_markov(lam: float, L: float, s: float, n_states: int = 401) -> float:
     """EWMA ARL by Markov-chain discretization of the in-limits interval.
 
@@ -107,8 +110,8 @@ def ewma_arl_markov(lam: float, L: float, s: float, n_states: int = 401) -> floa
     if lam is None or not 0.0 < lam <= 1.0:
         raise ValueError(f"lambda must be in (0, 1], got {lam}")
     _check_limit_and_shift(L, s)
-    integral = isinstance(n_states, (int, np.integer))
-    if not integral or n_states < 51 or n_states % 2 == 0:
+    n_states = check_int("n_states", n_states, 51)
+    if n_states % 2 == 0:
         raise ValueError(f"n_states must be an odd integer >= 51, got {n_states!r}")
     center = n_states // 2
     in_control = s == 0.0

@@ -38,6 +38,7 @@ changepoint of 0 that is simply the first subgroup.
 from __future__ import annotations
 
 import atexit
+import math
 import os
 import pickle
 import threading
@@ -50,7 +51,6 @@ import numpy as np
 
 from . import charts
 from .charts import ChartSpec, difference_estimate
-from .errors import ExcessCensoring
 from .stochastics import (
     ProcessModel,
     ShiftScenario,
@@ -96,6 +96,10 @@ _MIN_REPS_PER_WORKER = 1_000
 _MAX_CENSORED_FRACTION = 0.001
 
 
+class ExcessCensoring(Exception):
+    """Too many replications hit the run-length cap for the summary to be trusted."""
+
+
 @dataclass(frozen=True)
 class RunLengthSummary:
     """Aggregate of one run-length study."""
@@ -120,8 +124,8 @@ class SimulationConfig:
     rl_cap: int = 10_000_000
 
     def __post_init__(self):
-        check_int("reps", self.reps, 1)
-        check_int("rl_cap", self.rl_cap, 1)
+        for name in ("reps", "rl_cap"):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), 1))
         # Run lengths, and the changepoint they are counted from, are int64.
         int64_max = int(np.iinfo(np.int64).max)
         if self.rl_cap > int64_max:
@@ -137,7 +141,9 @@ class SimulationConfig:
                 f"changepoint must be <= rl_cap, got {self.scenario.changepoint} "
                 f"> {self.rl_cap}"
             )
-        check_int("master_seed", self.master_seed, 0, 2**64)
+        object.__setattr__(
+            self, "master_seed", check_int("master_seed", self.master_seed, 0, 2**64)
+        )
         # A mean that overflows to inf makes a NaN statistic that never
         # signals, so every replication would run to rl_cap.
         means = shifted_means(self.model, self.scenario)
@@ -257,7 +263,7 @@ def simulate_run_lengths(
     A replication's run length depends only on its key, so shares and chunks
     change no value. Where the platform cannot fork, one share runs here.
     """
-    check_int("threads", threads, 1)
+    threads = check_int("threads", threads, 1)
     indices = np.arange(config.reps, dtype=np.uint64)
     workers = _plan(config.reps, threads, usable_cpus())
     if workers > 1 and hasattr(os, "fork"):
@@ -464,7 +470,7 @@ def summarize_run_lengths(rl: np.ndarray, rl_cap: int) -> RunLengthSummary:
     return RunLengthSummary(
         arl=arl,
         sdrl=sdrl,
-        se_arl=sdrl / np.sqrt(reps),
+        se_arl=sdrl / math.sqrt(reps),
         reps=reps,
         percentiles={lv: float(p) for lv, p in zip(PERCENTILE_LEVELS, pcts)},
         censored=censored,
@@ -496,7 +502,7 @@ def trace(
 ) -> list[TracePoint]:
     """Chart path over ``n_subgroups`` subgroups, not stopping at signals, of
     the replication the engine keys ``StreamKey(master_seed, replication)``."""
-    check_int("n_subgroups", n_subgroups, 1)
+    n_subgroups = check_int("n_subgroups", n_subgroups, 1)
     model, scenario, spec = config.model, config.scenario, config.spec
     mu_y1, mu_x1 = shifted_means(model, scenario)
     shifted_label = (

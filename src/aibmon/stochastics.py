@@ -43,6 +43,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
+import operator
 import os
 import sys
 import threading
@@ -203,7 +204,7 @@ class ProcessModel:
             raise ValueError("sigma_y and sigma_x must be positive and finite")
         if not abs(self.rho) < 1:
             raise ValueError("need |rho| < 1 (degenerate correlation rejected)")
-        check_int("subgroup size n", self.n, 1)
+        object.__setattr__(self, "n", check_int("subgroup size n", self.n, 1))
 
     def beta(self) -> float:
         """Population regression slope of Y on X: rho * sigma_y / sigma_x."""
@@ -234,7 +235,9 @@ class ShiftScenario:
     def __post_init__(self):
         if not (math.isfinite(self.delta_y) and math.isfinite(self.delta_x)):
             raise ValueError("delta_y and delta_x must be finite")
-        check_int("changepoint", self.changepoint, 0)
+        object.__setattr__(
+            self, "changepoint", check_int("changepoint", self.changepoint, 0)
+        )
         # "masking" is not ``ShiftMode.MASKING``; any other value raises.
         object.__setattr__(self, "mode", ShiftMode(self.mode))
         if self.mode is ShiftMode.MASKING and self.delta_x != 0:
@@ -252,14 +255,21 @@ class StreamKey:
     replication_index: int
 
     def __post_init__(self):
-        check_int("master_seed", self.master_seed, 0, _U64_MAX)
-        check_int("replication_index", self.replication_index, 0, _U64_MAX)
+        for name in ("master_seed", "replication_index"):
+            object.__setattr__(
+                self, name, check_int(name, getattr(self, name), 0, _U64_MAX)
+            )
 
 
-def check_int(name: str, value, low: int, high: float = math.inf) -> None:
-    """Refuse anything but an ``int``, not a ``bool``, in [low, high)."""
-    if isinstance(value, bool) or not (isinstance(value, int) and low <= value < high):
-        raise ValueError(f"{name} must be an integer in [{low}, {high}), got {value!r}")
+def check_int(name: str, value, low: int, high: float = math.inf) -> int:
+    """``value`` as an ``int`` in [low, high), or ``ValueError``.
+
+    Takes what ``operator.index`` takes, numpy integers too, but no ``bool``.
+    """
+    if not isinstance(value, (bool, np.bool_)) and hasattr(type(value), "__index__"):
+        if low <= (number := operator.index(value)) < high:
+            return number
+    raise ValueError(f"{name} must be an integer in [{low}, {high}), got {value!r}")
 
 
 # numpy's SeedSequence hash (pool size 4) on 32-bit words, for mixing spawn
@@ -334,7 +344,7 @@ def substream_keys(master_seed: int, indices) -> np.ndarray:
     master seed; the spawn-index stage runs column-wise over all indices.
     An index of 2**32 or more contributes a second 32-bit word.
     """
-    check_int("master_seed", master_seed, 0, _U64_MAX)
+    master_seed = check_int("master_seed", master_seed, 0, _U64_MAX)
     idx = np.asarray(indices, dtype=np.uint64)
     pool = _seed_pool(master_seed)
     low = (idx & _MASK32).astype(np.uint32)
@@ -429,10 +439,14 @@ class SubstreamWords:
         wps = self._wps
         rows = np.asarray(rows).tolist()
         out = np.empty((len(rows), count * wps), dtype=np.uint64)
+        counter = start * wps // 4
+        if not 0 <= counter < 2**256:
+            raise ValueError(f"subgroup {start} is beyond Philox's 256-bit counter")
         state, inner = self._state, self._state["state"]
-        # buffer_pos = 4 marks the buffer spent, so the first draw advances
-        # the counter by one before generating, exactly as a fresh stream.
-        inner["counter"][0] = start * wps // 4
+        # The counter is four 64-bit words, least significant first. buffer_pos
+        # = 4 marks the buffer spent, so the first draw advances the counter by
+        # one before generating, exactly as a fresh stream.
+        inner["counter"] = [(counter >> bits) % _U64_MAX for bits in (0, 64, 128, 192)]
         bitgen, keys = self._bitgen, self._keys
         for i, row in enumerate(rows):
             inner["key"] = keys[row]
@@ -451,12 +465,11 @@ class SubgroupStream:
     """
 
     def __init__(self, n: int, key: StreamKey, start_index: int = 0):
-        check_int("start_index", start_index, 0)
+        self.next_index = check_int("start_index", start_index, 0)
         self.n = n
         self._words = SubstreamWords(
             n, substream_keys(key.master_seed, [key.replication_index])
         )
-        self.next_index = start_index
 
     def take_words(self, count: int) -> np.ndarray:
         """Raw word slots for the next ``count`` subgroups, shape (count, wps)."""

@@ -437,6 +437,17 @@ def test_calibrate_ewma_refusals_print_their_message(capsys, lam, target, messag
     assert err == f"error: {message}\n"
 
 
+def test_calibrate_singular_system_exits_2_with_its_message(capsys, monkeypatch):
+    def singular(kind, lam, target_arl0):
+        raise oracles.SingularSystem("I - Q singular for lam=0.1, L=2.0")
+
+    monkeypatch.setattr(cli, "calibrate_limit", singular)
+    code, out, err = run(capsys, "calibrate", "--chart", "ewma",
+                         "--lambda", "0.1", "--target-arl0", "200")
+    assert (code, out) == (2, "")
+    assert err == "error: I - Q singular for lam=0.1, L=2.0\n"
+
+
 def test_calibrate_ewma_reaches_a_large_target(capsys):
     code, out, err = run(capsys, "calibrate", "--chart", "ewma",
                          "--lambda", "0.1", "--target-arl0", "1e8")

@@ -14,6 +14,7 @@ from aibmon import (
     ShiftMode,
     ShiftScenario,
     SimulationConfig,
+    SingularSystem,
     analytic_arl,
     calibrate_limit,
     ewma_arl_markov,
@@ -172,6 +173,24 @@ def test_markov_rejects_nan_shift():
 def test_markov_rejects_non_integer_state_count(n_states):
     with pytest.raises(ValueError, match="integer"):
         ewma_arl_markov(0.1, 2.454, 0.0, n_states=n_states)
+
+
+def test_markov_raises_singular_system_when_the_solve_fails(monkeypatch):
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(SingularSystem, match="I - Q singular for lam=0.1, L=2.454"):
+        ewma_arl_markov(0.1, 2.454, 0.0)
+
+
+@pytest.mark.parametrize("arl", [0.5, -4.7e16, math.nan])
+def test_markov_raises_singular_system_on_an_arl_below_one(monkeypatch, arl):
+    # An ill-conditioned system would reach this path too, but there the
+    # sign of the ARL depends on the BLAS, so the solve is replaced.
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full_like(b, arl))
+    with pytest.raises(SingularSystem, match="invalid ARL"):
+        ewma_arl_markov(0.1, 2.454, 1.0)
 
 
 def test_markov_accepts_numpy_integer_state_count():

@@ -782,6 +782,9 @@ def test_cap_censors_and_summary_rejects_heavy_censoring():
 def test_summary_of_single_replication():
     s = summarize_run_lengths(np.array([7], dtype=np.int64), rl_cap=10**7)
     assert s.arl == 7.0 and s.sdrl == 0.0 and s.se_arl == 0.0 and s.reps == 1
+    # Python floats, not np.float64, so the summary's repr reads plainly.
+    floats = (s.arl, s.sdrl, s.se_arl, *s.percentiles.values())
+    assert all(type(v) is float for v in floats)
 
 
 def test_config_validation():
@@ -794,6 +797,49 @@ def test_config_validation():
     for seed in (-1, 2**64, True):
         with pytest.raises(ValueError):
             SimulationConfig(model, ShiftScenario(), spec, reps=10, master_seed=seed)
+
+
+def test_numpy_integer_counts_give_the_same_study():
+    plain_model = ProcessModel.standard(0.5, n=2)
+    spec = make_limits(ChartKind.EWMA, 0.1, 2.454, plain_model)
+    plain = SimulationConfig(
+        plain_model, ShiftScenario(delta_y=1.0, changepoint=5), spec,
+        reps=300, master_seed=11, rl_cap=10**6,
+    )
+    config = SimulationConfig(
+        ProcessModel.standard(0.5, n=np.int64(2)),
+        ShiftScenario(delta_y=1.0, changepoint=np.int64(5)),
+        spec,
+        reps=np.int64(300),
+        master_seed=np.uint64(11),
+        rl_cap=np.int32(10**6),
+    )
+    assert config == plain
+    for value in (config.reps, config.master_seed, config.rl_cap,
+                  config.model.n, config.scenario.changepoint):
+        assert type(value) is int
+    assert estimate_runlength(config) == estimate_runlength(plain)
+    assert trace(config, np.int64(5), np.int64(9)) == trace(plain, 5, 9)
+
+
+def test_changepoint_plus_cap_is_bounded_without_int64_wraparound():
+    model = ProcessModel.standard(0.0)
+    spec = make_limits(ChartKind.SHEWHART, 1.0, 2.807, model)
+    scenario = ShiftScenario(changepoint=np.int64(2**62))
+    with pytest.raises(ValueError, match=r"changepoint \+ rl_cap must be"):
+        SimulationConfig(model, scenario, spec, reps=1, rl_cap=np.int64(2**63 - 1))
+
+
+@pytest.mark.parametrize("value", [True, np.True_, 2.0, np.float64(2.0)], ids=repr)
+def test_study_counts_refuse_bools_and_floats(value):
+    model = ProcessModel.standard(0.0)
+    spec = make_limits(ChartKind.SHEWHART, 1.0, 2.807, model)
+    for name in ("reps", "rl_cap", "master_seed"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SimulationConfig(model, ShiftScenario(), spec, **{name: value})
+    config = SimulationConfig(model, ShiftScenario(), spec, reps=10)
+    with pytest.raises(ValueError, match="replication_index must be an integer"):
+        trace(config, value, 3)
 
 
 @settings(max_examples=150, deadline=None)

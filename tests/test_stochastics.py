@@ -17,6 +17,8 @@ from aibmon import (
 from aibmon.stochastics import (
     SubgroupStream,
     SubstreamWords,
+    normals_from_words,
+    pairs_from_normals,
     substream_keys,
     words_per_subgroup,
 )
@@ -80,6 +82,35 @@ def test_stream_key_rejects_out_of_range():
         StreamKey(0, False)
 
 
+@pytest.mark.parametrize("value", [True, np.True_, 2.0, np.float64(2.0)], ids=repr)
+def test_counts_refuse_bools_and_floats(value):
+    key = StreamKey(1, 0)
+    makers = {
+        "subgroup size n": lambda v: ProcessModel.standard(0.5, n=v),
+        "changepoint": lambda v: ShiftScenario(changepoint=v),
+        "master_seed": lambda v: StreamKey(v, 0),
+        "replication_index": lambda v: StreamKey(0, v),
+        "start_index": lambda v: sample_subgroup(standard(0.5), 0, 0, key, v),
+    }
+    for name, make in makers.items():
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            make(value)
+
+
+def test_numpy_integer_counts_are_stored_as_python_ints():
+    model = ProcessModel.standard(0.5, n=np.int64(2))
+    scenario = ShiftScenario(changepoint=np.int32(3))
+    key = StreamKey(np.uint64(2**64 - 1), np.int64(5))
+    stored = (model.n, scenario.changepoint, key.master_seed, key.replication_index)
+    assert all(type(value) is int for value in stored)
+    assert model == standard(0.5, n=2)
+    assert scenario == ShiftScenario(changepoint=3)
+    assert key == StreamKey(2**64 - 1, 5)
+    y, x = sample_subgroup(model, 0, 0, key, np.uint8(3))
+    y_ref, x_ref = sample_subgroup(standard(0.5, 2), 0, 0, StreamKey(2**64 - 1, 5), 3)
+    assert np.array_equal(y, y_ref) and np.array_equal(x, x_ref)
+
+
 # ------------------------------------------------------------ substream keys
 
 
@@ -127,6 +158,31 @@ def test_rekeyed_words_equal_numpy_philox_streams(n):
         assert block.shape == (len(rows), count, wps)
         for row, got in zip(rows, block):
             assert np.array_equal(got, reference[row][start : start + count])
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_words_past_a_64_bit_counter_equal_numpy_philox_advance(n):
+    # Subgroup t starts at counter t * wps // 4, which from 2**64 on spans
+    # more than one of Philox's four 64-bit counter words.
+    wps = words_per_subgroup(n)
+    keys = substream_keys(5, [0, 9])
+    words = SubstreamWords(n, keys)
+    for t in (2**64, 2**64 + 5, 2**130 + 3, 2**258 // wps - 1):
+        block = words.take([1, 0], t, 3)
+        for row, got in zip([1, 0], block):
+            stream = np.random.Philox(key=keys[row]).advance(t * wps // 4)
+            assert np.array_equal(got.ravel(), stream.random_raw(3 * wps))
+
+
+def test_subgroup_past_a_64_bit_counter_and_beyond_the_counter():
+    m = standard(0.5)
+    key = StreamKey(1, 2)
+    y, x = sample_subgroup(m, 0.0, 0.0, key, 2**64)
+    raw = np.random.Philox(key=substream_keys(1, [2])[0]).advance(2**64).random_raw(4)
+    y_ref, x_ref = pairs_from_normals(m, 0.0, 0.0, *normals_from_words(1, raw))
+    assert np.array_equal(y, y_ref) and np.array_equal(x, x_ref)
+    with pytest.raises(ValueError, match="256-bit counter"):
+        sample_subgroup(m, 0.0, 0.0, key, 2**256)
 
 
 # ------------------------------------------------------------- shifted_means
