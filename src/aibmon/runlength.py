@@ -5,7 +5,8 @@ signal and aggregates run-length statistics over independent replications.
 Replication ``i`` of a study always uses the substream addressed by
 ``StreamKey(master_seed, i)``, so results are deterministic for a fixed
 master seed no matter how replications are split into chunks or spread
-over worker processes.
+over worker processes. Each chunk reads its substreams through one
+``SubgroupStream``, the reader ``trace`` builds for one replication.
 
 A study splits its replications into one contiguous share per worker, and
 each share into equal chunks that run one after another. A chunk holds at
@@ -56,13 +57,11 @@ from .stochastics import (
     ShiftScenario,
     StreamKey,
     SubgroupStream,
-    SubstreamWords,
     check_int,
     load_engine_code,
     normals_from_words,
     pairs_from_normals,
     shifted_means,
-    substream_keys,
     words_per_subgroup,
 )
 
@@ -200,7 +199,7 @@ def _chunk_run_lengths(config: SimulationConfig, rep_indices: np.ndarray) -> np.
     """
     model, scenario, spec = config.model, config.scenario, config.spec
     changepoint, used = scenario.changepoint, 2 * model.n
-    source = SubstreamWords(model.n, substream_keys(config.master_seed, rep_indices))
+    source = SubgroupStream(model.n, config.master_seed, rep_indices)
     total = len(rep_indices)
     rl = np.zeros(total, dtype=np.int64)
     w = np.full(total, spec.center, dtype=np.float64)
@@ -211,7 +210,7 @@ def _chunk_run_lengths(config: SimulationConfig, rep_indices: np.ndarray) -> np.
     while alive.size and t0 < horizon:
         count = min(block, horizon - t0)
         block = min(2 * block, _BLOCK_MAX)
-        words = source.take(alive, t0, count)
+        words = source.take_words(count, t0, alive)
         # Rows of ``words`` that belong to the replications still alive.
         sub = np.arange(alive.size)
         s = 0
@@ -511,8 +510,10 @@ def trace(
         else "in-control"
     )
     key = StreamKey(config.master_seed, replication)
-    words = SubgroupStream(model.n, key).take_words(n_subgroups)
-    xbar, ybar, z = _subgroup_statistics(model, scenario, words[None], 0)
+    words = SubgroupStream(model.n, key.master_seed, [key.replication_index]).take_words(
+        n_subgroups
+    )
+    xbar, ybar, z = _subgroup_statistics(model, scenario, words, 0)
     path, signal = charts.ewma_path(spec, z, spec.center)
     return [
         TracePoint(

@@ -9,8 +9,10 @@ for a given subgroup never depends on execution order or worker count.
 ``substream_keys`` computes these keys for a whole batch of replications in
 one vectorized pass of the SeedSequence hash; they equal numpy's keys bit
 for bit. A Philox stream is a pure function of its key and counter, so one
-generator re-keyed through its state (``SubstreamWords``) serves a whole
-batch without building a generator per replication.
+generator re-keyed through its state serves a whole batch without building
+a generator per replication. That is ``SubgroupStream``, the one reader of
+the contract: the engine reads a chunk of replications through it, and
+``trace`` and ``sample_subgroup`` read one.
 
 Within a substream, subgroup ``t`` (0-based) consumes a fixed slot of raw
 64-bit words: slots are padded to the 4-word Philox counter block, the
@@ -340,12 +342,24 @@ def substream_keys(master_seed: int, indices) -> np.ndarray:
     """Philox keys of replications ``indices`` of ``master_seed``, shape (len, 2).
 
     Row ``r`` equals ``SeedSequence(master_seed, spawn_key=(indices[r],))
-    .generate_state(2, np.uint64)``. The pool stage depends only on the
-    master seed; the spawn-index stage runs column-wise over all indices.
-    An index of 2**32 or more contributes a second 32-bit word.
+    .generate_state(2, np.uint64)``. ``indices`` is a numpy integer array
+    or a sequence of what ``check_int`` takes, in [0, 2**64). The pool
+    stage depends only on the master seed; the spawn-index stage runs
+    column-wise over all indices. An index of 2**32 or more contributes a
+    second 32-bit word.
     """
     master_seed = check_int("master_seed", master_seed, 0, _U64_MAX)
-    idx = np.asarray(indices, dtype=np.uint64)
+    if isinstance(indices, np.ndarray):
+        # One dtype check, and a minimum only for signed arrays: a float
+        # would truncate to another replication's key, a bool alias 0 or 1.
+        kind = indices.dtype.kind
+        if indices.size and not (kind == "u" or kind == "i" and indices.min() >= 0):
+            raise ValueError(f"replication indices must be integers >= 0, got {indices!r}")
+        idx = indices.astype(np.uint64, copy=False)
+    else:
+        idx = np.array(
+            [check_int("replication_index", i, 0, _U64_MAX) for i in indices], np.uint64
+        )
     pool = _seed_pool(master_seed)
     low = (idx & _MASK32).astype(np.uint32)
     w = _state_words(pool, [low])
@@ -406,20 +420,21 @@ def normals_from_words(n: int, words: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return z[..., :n], z[..., n : 2 * n]
 
 
-class SubstreamWords:
-    """Raw word slots of a batch of substreams from one re-keyed Philox.
+class SubgroupStream:
+    """Raw word slots of the substreams of replications ``indices`` of
+    ``master_seed``, from one re-keyed Philox.
 
-    ``keys`` holds one 2-word Philox key per row, as ``substream_keys``
-    returns them. Subgroup ``t`` of a substream starts at Philox counter
-    ``t * words_per_subgroup(n) // 4``; ``take`` writes each row's key and
-    that counter into the generator's state and draws the row's words, so
-    no generator is built per replication. Not thread-safe: each thread
+    Row ``r`` reads the substream keyed ``substream_keys(master_seed,
+    indices)[r]``. Subgroup ``t`` of a substream starts at Philox counter
+    ``t * words_per_subgroup(n) // 4``; ``take_words`` writes each row's key
+    and that counter into the generator's state and draws the row's words,
+    so no generator is built per replication. Not thread-safe: each thread
     needs its own instance.
     """
 
-    def __init__(self, n: int, keys):
+    def __init__(self, n: int, master_seed: int, indices):
         self._wps = words_per_subgroup(n)
-        self._keys = np.asarray(keys, dtype=np.uint64).tolist()
+        self._keys = substream_keys(master_seed, indices).tolist()
         self._bitgen = np.random.Philox(0)
         self._state = {
             "bit_generator": "Philox",
@@ -430,55 +445,31 @@ class SubstreamWords:
             "uinteger": 0,
         }
 
-    def take(self, rows, start: int, count: int) -> np.ndarray:
+    def take_words(self, count: int, start: int = 0, rows=None) -> np.ndarray:
         """Word slots of subgroups ``start .. start+count-1`` of each row.
 
-        ``rows`` index the batch; the result has shape
+        ``rows`` index the batch (all rows if None); the result has shape
         (len(rows), count, words_per_subgroup(n)).
         """
-        wps = self._wps
-        rows = np.asarray(rows).tolist()
-        out = np.empty((len(rows), count * wps), dtype=np.uint64)
+        count = check_int("count", count, 0)
+        start = check_int("start_index", start, 0)
+        wps, bitgen, keys = self._wps, self._bitgen, self._keys
+        if rows is not None:
+            keys = [keys[row] for row in np.asarray(rows).tolist()]
+        out = np.empty((len(keys), count * wps), dtype=np.uint64)
         counter = start * wps // 4
-        if not 0 <= counter < 2**256:
+        if counter >= 2**256:
             raise ValueError(f"subgroup {start} is beyond Philox's 256-bit counter")
         state, inner = self._state, self._state["state"]
         # The counter is four 64-bit words, least significant first. buffer_pos
         # = 4 marks the buffer spent, so the first draw advances the counter by
         # one before generating, exactly as a fresh stream.
         inner["counter"] = [(counter >> bits) % _U64_MAX for bits in (0, 64, 128, 192)]
-        bitgen, keys = self._bitgen, self._keys
-        for i, row in enumerate(rows):
-            inner["key"] = keys[row]
+        for i, key in enumerate(keys):
+            inner["key"] = key
             bitgen.state = state
             out[i] = bitgen.random_raw(count * wps)
-        return out.reshape(len(rows), count, wps)
-
-
-class SubgroupStream:
-    """Sequential source of standard-normal subgroup pairs for one replication.
-
-    ``take(count)`` returns arrays ``(zx, ze)`` of shape (count, n) holding
-    the X normals and the conditional residual normals for the next
-    ``count`` subgroups. Consumption is identical, word for word, to what
-    ``sample_subgroup`` uses for the same indices.
-    """
-
-    def __init__(self, n: int, key: StreamKey, start_index: int = 0):
-        self.next_index = check_int("start_index", start_index, 0)
-        self.n = n
-        self._words = SubstreamWords(
-            n, substream_keys(key.master_seed, [key.replication_index])
-        )
-
-    def take_words(self, count: int) -> np.ndarray:
-        """Raw word slots for the next ``count`` subgroups, shape (count, wps)."""
-        raw = self._words.take([0], self.next_index, count)[0]
-        self.next_index += count
-        return raw
-
-    def take(self, count: int) -> tuple[np.ndarray, np.ndarray]:
-        return normals_from_words(self.n, self.take_words(count))
+        return out.reshape(len(keys), count, wps)
 
 
 def pairs_from_normals(
@@ -520,5 +511,6 @@ def sample_subgroup(
     same arguments gives bit-identical arrays. Means are supplied by the
     caller so the same substream serves in-control and shifted regimes.
     """
-    zx, ze = SubgroupStream(model.n, key, start_index=subgroup_index).take(1)
-    return pairs_from_normals(model, mu_y, mu_x, zx[0], ze[0])
+    stream = SubgroupStream(model.n, key.master_seed, [key.replication_index])
+    zx, ze = normals_from_words(model.n, stream.take_words(1, subgroup_index)[0, 0])
+    return pairs_from_normals(model, mu_y, mu_x, zx, ze)

@@ -17,7 +17,6 @@ from aibmon import (
     ShiftMode,
     ShiftScenario,
     SimulationConfig,
-    StreamKey,
     analytic_arl,
     calibrate_limit,
     estimate_runlength,
@@ -26,7 +25,7 @@ from aibmon import (
 )
 from aibmon.charts import difference_estimate
 from aibmon.cli import main
-from aibmon.stochastics import SubgroupStream, pairs_from_normals
+from aibmon.stochastics import SubgroupStream, normals_from_words, pairs_from_normals
 
 REPS = 50_000
 SEED = 7
@@ -180,7 +179,8 @@ def test_criterion_6_estimator_properties():
     details = []
     for rho in (0.25, 0.5, 0.75):
         model = ProcessModel.standard(rho)
-        zx, ze = SubgroupStream(1, StreamKey(SEED + 4, 0)).take(REPS)
+        words = SubgroupStream(1, SEED + 4, [0]).take_words(REPS)[0]
+        zx, ze = normals_from_words(1, words)
         y, x = pairs_from_normals(model, 0.0, 0.0, zx, ze)
         ybar, xbar = y.mean(axis=1), x.mean(axis=1)
         diff = ybar + model.beta() * (model.mu_x0 - xbar)

@@ -65,3 +65,41 @@ def test_every_benchmark_hook_resolves(monkeypatch):
     assert len(layers.HOOKS) == 12
     absent = [f"{h.module}.{h.attr}" for h in layers.HOOKS if layers._resolve(h) is None]
     assert not absent, absent
+
+
+def test_benchmark_stream_hooks_count_the_engines_reads(monkeypatch):
+    # The stream hooks wrap the engine's live reader: one SubgroupStream per
+    # chunk, and take_words's words are the bytes the engine drew. A change
+    # to the reader's name or signature would otherwise show only as zeros
+    # in the benchmark's per-layer report.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import layers
+    import numpy as np
+    from aibmon import ChartKind, ProcessModel, ShiftScenario, SimulationConfig
+    from aibmon import make_limits, runlength
+
+    model = ProcessModel.standard(0.5)
+    spec = make_limits(ChartKind.EWMA, 0.2, 2.636, model)
+    config = SimulationConfig(model, ShiftScenario(delta_x=0.5), spec, reps=5_000,
+                              master_seed=9)
+    untraced = runlength.simulate_run_lengths(config, threads=1)
+    tracer = layers.Tracer()
+    with tracer:
+        traced = runlength.simulate_run_lengths(config, threads=1)
+    assert np.array_equal(traced, untraced)
+    assert tracer.absent == []
+    assert isinstance(runlength.SubgroupStream, type)
+
+    # Chunks of at most _CHUNK rows at n = 1; each round draws 64, then 128
+    # subgroups of 4 words for the rows that have not signalled before it.
+    chunks = np.array_split(untraced, -(-untraced.size // runlength._CHUNK))
+    drawn = 0
+    for rl in chunks:
+        t0, count = 0, runlength._BLOCK_FIRST
+        while (rl > t0).any():
+            drawn += int((rl > t0).sum()) * count * 4 * 8
+            t0, count = t0 + count, runlength._BLOCK_MAX
+    metrics = tracer.layer_metrics()
+    assert len(chunks) == 2
+    assert metrics["stochastics.streams_built"] == len(chunks)
+    assert metrics["stochastics.word_bytes_computed"] == drawn

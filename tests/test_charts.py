@@ -18,7 +18,7 @@ from aibmon import (
     trace,
 )
 from aibmon.charts import ewma_path
-from aibmon.stochastics import SubgroupStream, pairs_from_normals
+from aibmon.stochastics import SubgroupStream, normals_from_words, pairs_from_normals
 
 
 # ----------------------------------------------------------------- statistic
@@ -37,7 +37,8 @@ def test_statistic_substitution():
 def test_in_control_statistic_moments():
     # mean(Z) -> mu_y0 and var(Z) -> (1 - rho^2) sigma_y^2 / n
     model = ProcessModel(mu_y0=1.0, mu_x0=2.0, sigma_y=2.0, sigma_x=0.5, rho=0.6, n=4)
-    zx, ze = SubgroupStream(model.n, StreamKey(17, 0)).take(100_000)
+    words = SubgroupStream(model.n, 17, [0]).take_words(100_000)[0]
+    zx, ze = normals_from_words(model.n, words)
     y, x = pairs_from_normals(model, model.mu_y0, model.mu_x0, zx, ze)
     z = y.mean(axis=1) + model.beta() * (model.mu_x0 - x.mean(axis=1))
     var_z = (1 - model.rho**2) * model.sigma_y**2 / model.n
@@ -48,7 +49,8 @@ def test_in_control_statistic_moments():
 def test_in_control_standardized_statistic_is_standard_normal():
     # Kolmogorov-Smirnov at 1e5 draws, level 0.01.
     model = ProcessModel.standard(0.5, n=2)
-    zx, ze = SubgroupStream(model.n, StreamKey(23, 0)).take(100_000)
+    words = SubgroupStream(model.n, 23, [0]).take_words(100_000)[0]
+    zx, ze = normals_from_words(model.n, words)
     y, x = pairs_from_normals(model, 0.0, 0.0, zx, ze)
     z = y.mean(axis=1) + model.beta() * (0.0 - x.mean(axis=1))
     standardized = z / (math.sqrt(1 - model.rho**2) / math.sqrt(model.n))
@@ -211,7 +213,8 @@ def test_signal_symmetry_under_negation(z, w, lam):
 
 def subgroup_means(model, reps, seed, rep_index=0):
     """Vectorized per-subgroup (y_bar, x_bar) over in-control draws."""
-    zx, ze = SubgroupStream(model.n, StreamKey(seed, rep_index)).take(reps)
+    words = SubgroupStream(model.n, seed, [rep_index]).take_words(reps)[0]
+    zx, ze = normals_from_words(model.n, words)
     y, x = pairs_from_normals(model, model.mu_y0, model.mu_x0, zx, ze)
     return y.mean(axis=1), x.mean(axis=1)
 

@@ -35,7 +35,7 @@ from aibmon.experiments import (
     trace_csv_lines,
 )
 from aibmon.runlength import RunLengthSummary
-from aibmon.stochastics import SubgroupStream, pairs_from_normals
+from aibmon.stochastics import SubgroupStream, normals_from_words, pairs_from_normals
 
 
 # ----------------------------------------------------------------- the grid
@@ -164,7 +164,7 @@ def test_masked_statistic_distribution_unchanged_across_changepoint():
     mu_y1, mu_x1 = shifted_means(model, scenario)
 
     def statistic_sample(mu_y, mu_x, rep):
-        zx, ze = SubgroupStream(1, StreamKey(77, rep)).take(100_000)
+        zx, ze = normals_from_words(1, SubgroupStream(1, 77, [rep]).take_words(100_000)[0])
         y, x = pairs_from_normals(model, mu_y, mu_x, zx, ze)
         return y.mean(axis=1) + model.beta() * (model.mu_x0 - x.mean(axis=1))
 

@@ -35,10 +35,8 @@ from aibmon.runlength import (
 )
 from aibmon.stochastics import (
     SubgroupStream,
-    SubstreamWords,
     normals_from_words,
     pairs_from_normals,
-    substream_keys,
     words_per_subgroup,
 )
 
@@ -687,7 +685,7 @@ def test_decode_leaves_the_callers_words_unchanged(monkeypatch):
     # is given must come back untouched.
     model = ProcessModel(0.2, -0.4, 1.1, 0.9, rho=0.55, n=3)
     scenario = ShiftScenario(delta_y=0.8, changepoint=5)
-    words = SubstreamWords(3, substream_keys(5, [0, 1, 2])).take([0, 1, 2], 0, 12)
+    words = SubgroupStream(3, 5, [0, 1, 2]).take_words(12)
     before = words.copy()
     zx, ze = normals_from_words(3, words)
     zx_before, ze_before = zx.copy(), ze.copy()
@@ -699,8 +697,8 @@ def test_decode_leaves_the_callers_words_unchanged(monkeypatch):
     handed_out = []
     take_words = SubgroupStream.take_words
 
-    def spy(self, count):
-        raw = take_words(self, count)
+    def spy(self, *args):
+        raw = take_words(self, *args)
         handed_out.append((raw, raw.copy()))
         return raw
 

@@ -16,7 +16,6 @@ from aibmon import (
 )
 from aibmon.stochastics import (
     SubgroupStream,
-    SubstreamWords,
     normals_from_words,
     pairs_from_normals,
     substream_keys,
@@ -85,14 +84,17 @@ def test_stream_key_rejects_out_of_range():
 @pytest.mark.parametrize("value", [True, np.True_, 2.0, np.float64(2.0)], ids=repr)
 def test_counts_refuse_bools_and_floats(value):
     key = StreamKey(1, 0)
-    makers = {
-        "subgroup size n": lambda v: ProcessModel.standard(0.5, n=v),
-        "changepoint": lambda v: ShiftScenario(changepoint=v),
-        "master_seed": lambda v: StreamKey(v, 0),
-        "replication_index": lambda v: StreamKey(0, v),
-        "start_index": lambda v: sample_subgroup(standard(0.5), 0, 0, key, v),
-    }
-    for name, make in makers.items():
+    stream = SubgroupStream(1, 1, [0])
+    makers = [
+        ("subgroup size n", lambda v: ProcessModel.standard(0.5, n=v)),
+        ("changepoint", lambda v: ShiftScenario(changepoint=v)),
+        ("master_seed", lambda v: StreamKey(v, 0)),
+        ("replication_index", lambda v: StreamKey(0, v)),
+        ("start_index", lambda v: sample_subgroup(standard(0.5), 0, 0, key, v)),
+        ("start_index", lambda v: stream.take_words(1, v)),
+        ("count", lambda v: stream.take_words(v)),
+    ]
+    for name, make in makers:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             make(value)
 
@@ -140,10 +142,24 @@ def test_substream_keys_reject_out_of_range_seed():
             substream_keys(seed, [0])
 
 
+@pytest.mark.parametrize(
+    "indices",
+    [[2.7], [True], [-1], [0, 2**64], np.array([2.0]), np.array([True]), np.array([3, -1])],
+    ids=repr,
+)
+def test_substream_keys_refuse_floats_bools_and_negatives(indices):
+    # 2.7 would truncate to replication 2's key and True alias replication 1.
+    with pytest.raises(ValueError, match="replication"):
+        substream_keys(3, indices)
+    with pytest.raises(ValueError, match="replication"):
+        SubgroupStream(1, 3, indices)
+
+
 @pytest.mark.parametrize("n", [1, 3, 5])
 def test_rekeyed_words_equal_numpy_philox_streams(n):
     # One re-keyed generator reproduces each replication's own Philox
-    # stream, for any rows, in any order, from any subgroup offset.
+    # stream, for any rows, in any order, from any subgroup offset, and a
+    # one-row reader of a replication reads that replication's row.
     wps = words_per_subgroup(n)
     indices = [0, 5, 2**32 + 3, 2**64 - 1]
     reference = [
@@ -152,12 +168,17 @@ def test_rekeyed_words_equal_numpy_philox_streams(n):
         .reshape(30, wps)
         for i in indices
     ]
-    words = SubstreamWords(n, substream_keys(77, indices))
-    for rows, start, count in (([0, 1, 2, 3], 0, 7), ([3, 1], 7, 16), ([2], 23, 7)):
-        block = words.take(rows, start, count)
+    words = SubgroupStream(n, 77, indices)
+    for rows, start, count in (
+        ([0, 1, 2, 3], 0, 7), ([3, 1], 7, 16), ([2], 23, 7), (None, 5, 9)
+    ):
+        block = words.take_words(count, start, rows)
+        rows = range(len(indices)) if rows is None else rows
         assert block.shape == (len(rows), count, wps)
         for row, got in zip(rows, block):
             assert np.array_equal(got, reference[row][start : start + count])
+            one_row = SubgroupStream(n, 77, [indices[row]]).take_words(count, start)
+            assert np.array_equal(one_row[0], got)
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -166,9 +187,9 @@ def test_words_past_a_64_bit_counter_equal_numpy_philox_advance(n):
     # more than one of Philox's four 64-bit counter words.
     wps = words_per_subgroup(n)
     keys = substream_keys(5, [0, 9])
-    words = SubstreamWords(n, keys)
+    words = SubgroupStream(n, 5, [0, 9])
     for t in (2**64, 2**64 + 5, 2**130 + 3, 2**258 // wps - 1):
-        block = words.take([1, 0], t, 3)
+        block = words.take_words(3, t, [1, 0])
         for row, got in zip([1, 0], block):
             stream = np.random.Philox(key=keys[row]).advance(t * wps // 4)
             assert np.array_equal(got.ravel(), stream.random_raw(3 * wps))
@@ -294,9 +315,10 @@ def test_subgroup_offsets_match_sequential_stream():
     # advance() into the middle of a stream lands on the same slots.
     m = standard(0.3, n=3)
     key = StreamKey(99, 7)
-    zx, ze = SubgroupStream(m.n, key).take(40)
+    stream = SubgroupStream(m.n, key.master_seed, [key.replication_index])
+    zx, ze = normals_from_words(m.n, stream.take_words(40)[0])
     for t in (0, 1, 17, 39):
-        zxt, zet = SubgroupStream(m.n, key, start_index=t).take(1)
+        zxt, zet = normals_from_words(m.n, stream.take_words(1, t)[0])
         assert np.array_equal(zxt[0], zx[t])
         assert np.array_equal(zet[0], ze[t])
 
@@ -310,7 +332,7 @@ def test_words_per_subgroup_pads_to_counter_block():
 
 def test_zero_correlation_factorizes():
     m = standard(0.0)
-    zx, ze = SubgroupStream(1, StreamKey(11, 0)).take(200_000)
+    zx, ze = normals_from_words(1, SubgroupStream(1, 11, [0]).take_words(200_000)[0])
     x = zx.ravel()
     y = ze.ravel()
     r = np.corrcoef(x, y)[0, 1]
@@ -320,7 +342,7 @@ def test_zero_correlation_factorizes():
 def test_correlation_recovery_at_075():
     # Empirical correlation of 1e6 pairs within +/- 0.002 of rho.
     m = standard(0.75)
-    zx, ze = SubgroupStream(1, StreamKey(5, 0)).take(1_000_000)
+    zx, ze = normals_from_words(1, SubgroupStream(1, 5, [0]).take_words(1_000_000)[0])
     x = zx.ravel()
     y = m.rho * zx.ravel() + math.sqrt(1 - m.rho**2) * ze.ravel()
     r = np.corrcoef(x, y)[0, 1]
@@ -330,7 +352,7 @@ def test_correlation_recovery_at_075():
 def test_marginal_moments_recovered():
     # Mean and SD of 1e6 draws within 4 standard errors.
     m = ProcessModel(mu_y0=2.0, mu_x0=-1.0, sigma_y=1.5, sigma_x=0.5, rho=0.4)
-    zx, ze = SubgroupStream(1, StreamKey(21, 0)).take(1_000_000)
+    zx, ze = normals_from_words(1, SubgroupStream(1, 21, [0]).take_words(1_000_000)[0])
     from aibmon.stochastics import pairs_from_normals
 
     y, x = pairs_from_normals(m, m.mu_y0, m.mu_x0, zx.ravel(), ze.ravel())
@@ -344,7 +366,7 @@ def test_marginal_moments_recovered():
 def test_conditional_mean_slope_equals_beta():
     # Regressing Y on X in a large in-control sample recovers beta.
     m = ProcessModel(mu_y0=1.0, mu_x0=3.0, sigma_y=2.0, sigma_x=0.8, rho=0.65)
-    zx, ze = SubgroupStream(1, StreamKey(31, 0)).take(500_000)
+    zx, ze = normals_from_words(1, SubgroupStream(1, 31, [0]).take_words(500_000)[0])
     from aibmon.stochastics import pairs_from_normals
 
     y, x = pairs_from_normals(m, m.mu_y0, m.mu_x0, zx.ravel(), ze.ravel())
