@@ -38,7 +38,6 @@ from .stochastics import (
     ProcessModel,
     ShiftMode,
     ShiftScenario,
-    StreamKey,
     sample_subgroup,
     shifted_means,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "ShiftScenario",
     "SimulationConfig",
     "SingularSystem",
-    "StreamKey",
     "Table1Cell",
     "TracePoint",
     "analytic_arl",

@@ -32,7 +32,6 @@ from .stochastics import (
     ProcessModel,
     ShiftMode,
     ShiftScenario,
-    StreamKey,
     check_int,
     sample_subgroup,
 )
@@ -291,9 +290,7 @@ def profile_equivalence_trials(trials: int, master_seed: int = 0) -> float:
             rho=float(rng.uniform(-0.95, 0.95)),
             n=int(rng.integers(1, 11)),
         )
-        y, x = sample_subgroup(
-            model, model.mu_y0, model.mu_x0, StreamKey(master_seed, i), 0
-        )
+        y, x = sample_subgroup(model, model.mu_y0, model.mu_x0, master_seed, i, 0)
         a0 = float(rng.uniform(-3.0, 3.0))
         check = equivalence_check(float(y.mean()), float(x.mean()), model, a0)
         worst = max(worst, check.gap_ulp)

@@ -2,10 +2,10 @@
 
 Drives a chart over scenario-generated subgroup streams until the first
 signal and aggregates run-length statistics over independent replications.
-Replication ``i`` of a study always uses the substream addressed by
-``StreamKey(master_seed, i)``, so results are deterministic for a fixed
-master seed no matter how replications are split into chunks or spread
-over worker processes. Each chunk reads its substreams through one
+Replication ``i`` of a study always uses the substream keyed
+``substream_keys(master_seed, [i])``, so results are deterministic for a
+fixed master seed no matter how replications are split into chunks or
+spread over worker processes. Each chunk reads its substreams through one
 ``SubgroupStream``, the reader ``trace`` builds for one replication.
 
 A study splits its replications into one contiguous share per worker, and
@@ -55,7 +55,6 @@ from .charts import ChartSpec, difference_estimate
 from .stochastics import (
     ProcessModel,
     ShiftScenario,
-    StreamKey,
     SubgroupStream,
     check_int,
     load_engine_code,
@@ -157,27 +156,16 @@ class SimulationConfig:
 
 
 def _subgroup_statistics(
-    model: ProcessModel, scenario: ShiftScenario, words: np.ndarray, t0: int
+    model: ProcessModel, mu_y: float, mu_x: float, words: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Subgroup means and chart statistic of a block of word slots.
 
-    ``words`` has shape (rows, count, words_per_subgroup(n)) and holds the
-    subgroups that follow the first ``t0`` of each row. Subgroups up to the
-    changepoint are drawn at the in-control means, the rest at the shifted
-    ones; the statistic, the difference estimator, always uses the
-    in-control auxiliary mean. Returns (x_bar, y_bar, z), each of shape
-    (rows, count).
+    ``words`` has shape (rows, count, words_per_subgroup(n)); every subgroup
+    of the block is drawn at the means ``mu_y`` and ``mu_x``. The statistic,
+    the difference estimator, always uses the in-control auxiliary mean.
+    Returns (x_bar, y_bar, z), each of shape (rows, count).
     """
     zx, ze = normals_from_words(model.n, words)
-    mu_y, mu_x = shifted_means(model, scenario)
-    # Scalar means unless the block starts before the changepoint: column
-    # means make pairs_from_normals up to 1.7x slower on 1,000-row slices
-    # at n = 1 and 3 (2 vCPUs), and every block of a study with changepoint
-    # 0 would pay it.
-    if t0 < scenario.changepoint:
-        shifted = (t0 + np.arange(words.shape[1]) >= scenario.changepoint)[:, None]
-        mu_y = np.where(shifted, mu_y, model.mu_y0)
-        mu_x = np.where(shifted, mu_x, model.mu_x0)
     y, x = pairs_from_normals(model, mu_y, mu_x, zx, ze)
     # ndarray.mean's own sum and divide, without its overhead.
     ybar, xbar = np.add.reduce(y, axis=2), np.add.reduce(x, axis=2)
@@ -193,12 +181,15 @@ def _chunk_run_lengths(config: SimulationConfig, rep_indices: np.ndarray) -> np.
 
     Each replication consumes its own substream block by block; a block is
     decoded and charted slice by slice, and a replication that signals is
-    dropped before the next slice. A censored replication reports the cap
-    itself. Values are bit-identical to a scalar walk (sample_subgroup, the
-    statistic, the EWMA recursion) over the same keys.
+    dropped before the next slice. A slice that starts before the
+    changepoint ends at it, so each slice is drawn at one pair of means. A
+    censored replication reports the cap itself. Values are bit-identical
+    to a scalar walk (sample_subgroup, the statistic, the EWMA recursion)
+    over the same keys.
     """
     model, scenario, spec = config.model, config.scenario, config.spec
     changepoint, used = scenario.changepoint, 2 * model.n
+    in_control, shifted = (model.mu_y0, model.mu_x0), shifted_means(model, scenario)
     source = SubgroupStream(model.n, config.master_seed, rep_indices)
     total = len(rep_indices)
     rl = np.zeros(total, dtype=np.int64)
@@ -217,12 +208,14 @@ def _chunk_run_lengths(config: SimulationConfig, rep_indices: np.ndarray) -> np.
         while s < count and alive.size:
             t = t0 + s
             width = max(_SLICE, _SLICE_NORMALS // (used * alive.size))
+            if t < changepoint:
+                width = min(width, changepoint - t)
             slice_words = words[sub, s : s + width, :used]
-            _, _, z = _subgroup_statistics(model, scenario, slice_words, t)
+            means = in_control if t < changepoint else shifted
+            _, _, z = _subgroup_statistics(model, *means, slice_words)
             path, signal = charts.ewma_path(spec, z, w)
-            # Signals up to the changepoint do not count.
-            signal[:, : max(changepoint - t, 0)] = False
-            done = signal.any(axis=1)
+            # Signals before the changepoint do not count.
+            done = signal.any(axis=1) & (t >= changepoint)
             if done.any():
                 rl[alive[done]] = t + 1 - changepoint + signal[done].argmax(axis=1)
                 alive, sub, w = alive[~done], sub[~done], path[~done, -1]
@@ -500,20 +493,21 @@ def trace(
     config: SimulationConfig, replication: int, n_subgroups: int
 ) -> list[TracePoint]:
     """Chart path over ``n_subgroups`` subgroups, not stopping at signals, of
-    the replication the engine keys ``StreamKey(master_seed, replication)``."""
+    the replication the engine keys ``substream_keys(master_seed,
+    [replication])``. Subgroups up to the changepoint are drawn at the
+    in-control means, the rest at the shifted ones."""
     n_subgroups = check_int("n_subgroups", n_subgroups, 1)
     model, scenario, spec = config.model, config.scenario, config.spec
-    mu_y1, mu_x1 = shifted_means(model, scenario)
-    shifted_label = (
-        "out-of-control"
-        if (mu_y1, mu_x1) != (model.mu_y0, model.mu_x0)
-        else "in-control"
+    in_control, shifted = (model.mu_y0, model.mu_x0), shifted_means(model, scenario)
+    shifted_label = "out-of-control" if shifted != in_control else "in-control"
+    stream = SubgroupStream(model.n, config.master_seed, [replication])
+    words = stream.take_words(n_subgroups)
+    k = min(scenario.changepoint, n_subgroups)
+    parts = zip(
+        _subgroup_statistics(model, *in_control, words[:, :k]),
+        _subgroup_statistics(model, *shifted, words[:, k:]),
     )
-    key = StreamKey(config.master_seed, replication)
-    words = SubgroupStream(model.n, key.master_seed, [key.replication_index]).take_words(
-        n_subgroups
-    )
-    xbar, ybar, z = _subgroup_statistics(model, scenario, words, 0)
+    xbar, ybar, z = (np.concatenate(part, axis=1) for part in parts)
     path, signal = charts.ewma_path(spec, z, spec.center)
     return [
         TracePoint(

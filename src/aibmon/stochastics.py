@@ -20,8 +20,9 @@ first ``n`` words drive the X draws and the next ``n`` words the residual
 of Y given X. Words become uniforms via ``((w >> 11) + 0.5) * 2**-53``
 (strictly inside (0, 1)) and normals via the inverse normal CDF, which
 consumes exactly one word per normal. That fixed budget is what makes
-``sample_subgroup`` a pure function of ``(key, subgroup_index)`` and lets
-the block-vectorized simulation engine replay identical values.
+``sample_subgroup`` a pure function of ``(master_seed, replication,
+subgroup_index)`` and lets the block-vectorized simulation engine replay
+identical values.
 
 The bivariate draw is the conditional (Cholesky) construction, X first:
 
@@ -249,20 +250,6 @@ class ShiftScenario:
             )
 
 
-@dataclass(frozen=True)
-class StreamKey:
-    """Addresses one replication's substream: (master_seed, replication_index)."""
-
-    master_seed: int
-    replication_index: int
-
-    def __post_init__(self):
-        for name in ("master_seed", "replication_index"):
-            object.__setattr__(
-                self, name, check_int(name, getattr(self, name), 0, _U64_MAX)
-            )
-
-
 def check_int(name: str, value, low: int, high: float = math.inf) -> int:
     """``value`` as an ``int`` in [low, high), or ``ValueError``.
 
@@ -483,9 +470,7 @@ def pairs_from_normals(
 
     Shared by the scalar and block-vectorized paths so both produce
     bit-identical values from the same normals; broadcasts over any leading
-    axes. The means may be arrays that broadcast against ``zx``, such as
-    one mean per subgroup of a (rows, count, n) block as a (count, 1)
-    column. Computes y = (mu_y + (rho*sigma_y)*zx) + (sigma_y*sqrt(1-rho^2))*ze
+    axes. Computes y = (mu_y + (rho*sigma_y)*zx) + (sigma_y*sqrt(1-rho^2))*ze
     in that order, in place on its own temporaries; ``zx`` and ``ze`` are
     not written.
     """
@@ -501,16 +486,18 @@ def sample_subgroup(
     model: ProcessModel,
     mu_y: float,
     mu_x: float,
-    key: StreamKey,
+    master_seed: int,
+    replication: int,
     subgroup_index: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Subgroup ``subgroup_index`` of the replication addressed by ``key``.
+    """Subgroup ``subgroup_index`` of the substream keyed
+    ``substream_keys(master_seed, [replication])``.
 
     Returns its ``(y, x)`` pair of length-n arrays, as ``pairs_from_normals``
-    does. The draw is a pure function of (key, subgroup_index): replaying the
-    same arguments gives bit-identical arrays. Means are supplied by the
-    caller so the same substream serves in-control and shifted regimes.
+    does. The draw is a pure function of its arguments: replaying them
+    gives bit-identical arrays. Means are supplied by the caller so the
+    same substream serves in-control and shifted regimes.
     """
-    stream = SubgroupStream(model.n, key.master_seed, [key.replication_index])
+    stream = SubgroupStream(model.n, master_seed, [replication])
     zx, ze = normals_from_words(model.n, stream.take_words(1, subgroup_index)[0, 0])
     return pairs_from_normals(model, mu_y, mu_x, zx, ze)

@@ -12,7 +12,6 @@ from aibmon import (
     ProcessModel,
     ShiftScenario,
     SimulationConfig,
-    StreamKey,
     difference_estimate,
     make_limits,
     trace,
@@ -249,7 +248,7 @@ def test_vectorized_means_agree_with_api():
     from aibmon import sample_subgroup
 
     for t in range(5):
-        y, x = sample_subgroup(model, 0.0, 0.0, StreamKey(42, 0), t)
+        y, x = sample_subgroup(model, 0.0, 0.0, 42, 0, t)
         assert float(y.mean()) == ybar[t] and float(x.mean()) == xbar[t]
 
 

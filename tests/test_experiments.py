@@ -12,7 +12,6 @@ from aibmon import (
     ShiftMode,
     ShiftScenario,
     SimulationConfig,
-    StreamKey,
     equivalence_check,
     estimate_runlength,
     make_limits,
@@ -214,7 +213,7 @@ def test_profile_deviation_zero_for_exact_line_data():
 
 def test_equivalence_exactly_when_constant_vanishes():
     model = ProcessModel.standard(0.5)
-    y, x = sample_subgroup(model, 0.0, 0.0, StreamKey(61, 0), 0)
+    y, x = sample_subgroup(model, 0.0, 0.0, 61, 0, 0)
     result = equivalence_check(float(y.mean()), float(x.mean()), model, 0.0)
     assert result.gap == 0.0
     assert result.constant == 0.0
@@ -223,7 +222,7 @@ def test_equivalence_exactly_when_constant_vanishes():
 
 def test_equivalence_on_offset_model():
     model = ProcessModel(mu_y0=4.0, mu_x0=-2.0, sigma_y=1.5, sigma_x=0.5, rho=0.7, n=6)
-    y, x = sample_subgroup(model, model.mu_y0, model.mu_x0, StreamKey(62, 0), 0)
+    y, x = sample_subgroup(model, model.mu_y0, model.mu_x0, 62, 0, 0)
     result = equivalence_check(float(y.mean()), float(x.mean()), model, 2.5)
     assert result.ok
     assert result.aib == pytest.approx(result.deviation + result.constant, rel=1e-12)
@@ -251,9 +250,7 @@ def test_profile_equivalence_values_are_pinned():
                 rho=float(rng.uniform(-0.95, 0.95)),
                 n=int(rng.integers(1, 11)),
             )
-            y, x = sample_subgroup(
-                model, model.mu_y0, model.mu_x0, StreamKey(seed, i), 0
-            )
+            y, x = sample_subgroup(model, model.mu_y0, model.mu_x0, seed, i, 0)
             a0 = float(rng.uniform(-3.0, 3.0))
             r = equivalence_check(float(y.mean()), float(x.mean()), model, a0)
             digest.update(repr((r.aib, r.deviation, r.constant, r.gap, r.gap_ulp)).encode())

@@ -21,7 +21,6 @@ from aibmon import (
     ShiftMode,
     ShiftScenario,
     SimulationConfig,
-    StreamKey,
     analytic_arl,
     estimate_runlength,
     make_limits,
@@ -647,15 +646,31 @@ def test_run_lengths_independent_of_block_schedule(
     monkeypatch.setattr(runlength, "_BLOCK_FIRST", block_first)
     monkeypatch.setattr(runlength, "_BLOCK_MAX", block_max)
     monkeypatch.setattr(runlength, "_CHUNK", chunk)
-    charted = []
+    # Each round's take_words (start, count), then its slices' widths, in
+    # call order; a round's slices run on from its start.
+    events = []
+    take_words = SubgroupStream.take_words
     subgroup_statistics = runlength._subgroup_statistics
 
-    def spy(model, scenario, words, t0):
-        charted.append((t0, words.shape[1]))
-        return subgroup_statistics(model, scenario, words, t0)
+    def take_words_spy(self, count, start, rows):
+        events.append((start, count))
+        return take_words(self, count, start, rows)
 
-    monkeypatch.setattr(runlength, "_subgroup_statistics", spy)
+    def statistics_spy(model, mu_y, mu_x, words):
+        events.append(words.shape[1])
+        return subgroup_statistics(model, mu_y, mu_x, words)
+
+    monkeypatch.setattr(SubgroupStream, "take_words", take_words_spy)
+    monkeypatch.setattr(runlength, "_subgroup_statistics", statistics_spy)
     assert np.array_equal(simulate_run_lengths(config), default)
+    charted = []
+    for event in events:
+        if isinstance(event, tuple):
+            t, round_end = event[0], event[0] + event[1]
+        else:
+            assert t + event <= round_end
+            charted.append((t, event))
+            t += event
 
     def round_of(t):
         start, block = 0, block_first
@@ -663,18 +678,22 @@ def test_run_lengths_independent_of_block_schedule(
             start, block = start + block, min(2 * block, block_max)
         return start, start + block
 
+    changepoint = config.scenario.changepoint
     # Widths of the slices that end before their round does, per round.
     inner = {}
     for t, width in charted:
         start, end = round_of(t)
         assert t + width <= end
+        # Each slice is drawn at one process state.
+        assert not t < changepoint < t + width
+        stop = min(end, changepoint) if t < changepoint else end
         if slices == "fixed":
-            assert width == min(slice_width, end - t)
+            assert width == min(slice_width, stop - t)
         elif slices == "whole":
-            assert (t, t + width) == (start, end)
+            assert t in (start, changepoint) and t + width == stop
         else:
-            assert width >= min(slice_width, end - t)
-        if t + width < end:
+            assert width >= min(slice_width, stop - t)
+        if t + width < stop:
             inner.setdefault(start, set()).add(width)
     if slices == "widening":
         assert any(len(widths) > 1 for widths in inner.values())
@@ -690,7 +709,7 @@ def test_decode_leaves_the_callers_words_unchanged(monkeypatch):
     zx, ze = normals_from_words(3, words)
     zx_before, ze_before = zx.copy(), ze.copy()
     pairs_from_normals(model, 1.0, -1.0, zx, ze)
-    runlength._subgroup_statistics(model, scenario, words, 0)
+    runlength._subgroup_statistics(model, 1.0, -1.0, words)
     assert np.array_equal(words, before)
     assert np.array_equal(zx, zx_before) and np.array_equal(ze, ze_before)
 
@@ -708,7 +727,7 @@ def test_decode_leaves_the_callers_words_unchanged(monkeypatch):
     assert handed_out and all(np.array_equal(a, b) for a, b in handed_out)
 
 
-def scalar_walk(config, key, n_subgroups):
+def scalar_walk(config, replication, n_subgroups):
     """Independent reference: one subgroup at a time through sample_subgroup,
     the difference estimator and the EWMA recursion written out.
 
@@ -720,7 +739,7 @@ def scalar_walk(config, key, n_subgroups):
     w = spec.center
     for t in range(1, n_subgroups + 1):
         mu = (model.mu_y0, model.mu_x0) if t <= scenario.changepoint else (mu_y1, mu_x1)
-        y, x = sample_subgroup(model, mu[0], mu[1], key, t - 1)
+        y, x = sample_subgroup(model, *mu, config.master_seed, replication, t - 1)
         y_bar, x_bar = float(y.mean()), float(x.mean())
         z = charts.difference_estimate(y_bar, x_bar, model)
         w = lam * z + (1 - lam) * w
@@ -740,7 +759,7 @@ def test_run_to_signal_matches_scalar_chart_walk(changepoint):
     for rep in range(6):
         walked = next(
             t - scenario.changepoint
-            for t, *_, sig in scalar_walk(config, StreamKey(41, rep), 20_000)
+            for t, *_, sig in scalar_walk(config, rep, 20_000)
             if sig and t > scenario.changepoint
         )
         assert walked == rl[rep]
@@ -932,7 +951,7 @@ def test_trace_single_in_control_subgroup():
     points = trace(config, 0, 1)
     assert len(points) == 1
     p = points[0]
-    y, x = sample_subgroup(model, 0.0, 0.0, StreamKey(5, 0), 0)
+    y, x = sample_subgroup(model, 0.0, 0.0, 5, 0, 0)
     z1 = charts.difference_estimate(float(y.mean()), float(x.mean()), model)
     assert p.t == 1
     assert p.z == z1
@@ -991,15 +1010,18 @@ def test_trace_matches_run_to_signal():
 
 def test_trace_matches_scalar_walk_point_by_point():
     # Every emitted point equals the scalar reference walk, across a masked
-    # shift at subgroup 70 and with a chart tight enough to signal often.
+    # shift and with a chart tight enough to signal often. The shift comes
+    # at the first subgroup (no in-control part), inside the trace, at its
+    # last subgroup and past it (no shifted part).
     model = ProcessModel(0.2, -0.4, 1.1, 0.9, rho=0.55, n=3)
-    scenario = ShiftScenario(delta_y=1.5, mode=ShiftMode.MASKING, changepoint=70)
     spec = make_limits(ChartKind.EWMA, 0.2, 1.2, model)
-    config = SimulationConfig(model, scenario, spec, reps=1, master_seed=2**40 + 1)
-    points = trace(config, 3, 200)
-    assert len(points) == 200
-    reference = list(scalar_walk(config, StreamKey(2**40 + 1, 3), 200))
-    assert any(sig for *_, sig in reference) and not all(sig for *_, sig in reference)
-    for p, (t, x_bar, y_bar, z, w, sig) in zip(points, reference):
-        assert (p.t, p.x_bar, p.y_bar, p.z, p.w, p.signal) == (t, x_bar, y_bar, z, w, sig)
-        assert p.regime == ("in-control" if t <= 70 else "out-of-control")
+    for changepoint in (0, 70, 200, 250):
+        scenario = ShiftScenario(delta_y=1.5, mode=ShiftMode.MASKING, changepoint=changepoint)
+        config = SimulationConfig(model, scenario, spec, reps=1, master_seed=2**40 + 1)
+        points = trace(config, 3, 200)
+        assert len(points) == 200
+        reference = list(scalar_walk(config, 3, 200))
+        assert any(sig for *_, sig in reference) and not all(sig for *_, sig in reference)
+        for p, (t, x_bar, y_bar, z, w, sig) in zip(points, reference):
+            assert (p.t, p.x_bar, p.y_bar, p.z, p.w, p.signal) == (t, x_bar, y_bar, z, w, sig)
+            assert p.regime == ("in-control" if t <= changepoint else "out-of-control")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,13 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aibmon import (
+    ChartKind,
     ProcessModel,
     ShiftMode,
     ShiftScenario,
-    StreamKey,
+    SimulationConfig,
+    make_limits,
     sample_subgroup,
     shifted_means,
     standardized_shift,
+    trace,
 )
 from aibmon.stochastics import (
     SubgroupStream,
@@ -70,27 +74,38 @@ def test_scenario_rejects_non_finite_shift(kwargs):
         ShiftScenario(**kwargs)
 
 
+def study(master_seed=5):
+    model = standard(0.5)
+    spec = make_limits(ChartKind.EWMA, 0.1, 2.454, model)
+    return SimulationConfig(model, ShiftScenario(), spec, reps=1, master_seed=master_seed)
+
+
 def test_stream_key_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        StreamKey(-1, 0)
-    with pytest.raises(ValueError):
-        StreamKey(0, 2**64)
-    with pytest.raises(ValueError):
-        StreamKey(True, 0)
-    with pytest.raises(ValueError):
-        StreamKey(0, False)
+    # A replication's substream is addressed by two integers in [0, 2**64),
+    # wherever they are given: a seed to sample_subgroup or a study's config,
+    # a replication to sample_subgroup or trace.
+    for seed, replication, name, value in [
+        (-1, 0, "master_seed", -1), (0, 2**64, "replication_index", 2**64),
+        (True, 0, "master_seed", True), (0, False, "replication_index", False),
+    ]:
+        message = re.escape(f"{name} must be an integer in [0, {2**64}), got {value!r}")
+        with pytest.raises(ValueError, match=message):
+            sample_subgroup(standard(0.5), 0, 0, seed, replication, 0)
+        with pytest.raises(ValueError, match=message):
+            trace(study(seed), replication, 1)
 
 
 @pytest.mark.parametrize("value", [True, np.True_, 2.0, np.float64(2.0)], ids=repr)
 def test_counts_refuse_bools_and_floats(value):
-    key = StreamKey(1, 0)
     stream = SubgroupStream(1, 1, [0])
     makers = [
         ("subgroup size n", lambda v: ProcessModel.standard(0.5, n=v)),
         ("changepoint", lambda v: ShiftScenario(changepoint=v)),
-        ("master_seed", lambda v: StreamKey(v, 0)),
-        ("replication_index", lambda v: StreamKey(0, v)),
-        ("start_index", lambda v: sample_subgroup(standard(0.5), 0, 0, key, v)),
+        ("master_seed", lambda v: sample_subgroup(standard(0.5), 0, 0, v, 0, 0)),
+        ("master_seed", lambda v: study(v)),
+        ("replication_index", lambda v: sample_subgroup(standard(0.5), 0, 0, 0, v, 0)),
+        ("replication_index", lambda v: trace(study(), v, 1)),
+        ("start_index", lambda v: sample_subgroup(standard(0.5), 0, 0, 1, 0, v)),
         ("start_index", lambda v: stream.take_words(1, v)),
         ("count", lambda v: stream.take_words(v)),
     ]
@@ -102,15 +117,16 @@ def test_counts_refuse_bools_and_floats(value):
 def test_numpy_integer_counts_are_stored_as_python_ints():
     model = ProcessModel.standard(0.5, n=np.int64(2))
     scenario = ShiftScenario(changepoint=np.int32(3))
-    key = StreamKey(np.uint64(2**64 - 1), np.int64(5))
-    stored = (model.n, scenario.changepoint, key.master_seed, key.replication_index)
+    config = study(np.uint64(2**64 - 1))
+    stored = (model.n, scenario.changepoint, config.master_seed)
     assert all(type(value) is int for value in stored)
     assert model == standard(0.5, n=2)
     assert scenario == ShiftScenario(changepoint=3)
-    assert key == StreamKey(2**64 - 1, 5)
-    y, x = sample_subgroup(model, 0, 0, key, np.uint8(3))
-    y_ref, x_ref = sample_subgroup(standard(0.5, 2), 0, 0, StreamKey(2**64 - 1, 5), 3)
+    assert config == study(2**64 - 1)
+    y, x = sample_subgroup(model, 0, 0, np.uint64(2**64 - 1), np.int64(5), np.uint8(3))
+    y_ref, x_ref = sample_subgroup(standard(0.5, 2), 0, 0, 2**64 - 1, 5, 3)
     assert np.array_equal(y, y_ref) and np.array_equal(x, x_ref)
+    assert trace(config, np.int64(5), np.int64(3)) == trace(study(2**64 - 1), 5, 3)
 
 
 # ------------------------------------------------------------ substream keys
@@ -197,13 +213,12 @@ def test_words_past_a_64_bit_counter_equal_numpy_philox_advance(n):
 
 def test_subgroup_past_a_64_bit_counter_and_beyond_the_counter():
     m = standard(0.5)
-    key = StreamKey(1, 2)
-    y, x = sample_subgroup(m, 0.0, 0.0, key, 2**64)
+    y, x = sample_subgroup(m, 0.0, 0.0, 1, 2, 2**64)
     raw = np.random.Philox(key=substream_keys(1, [2])[0]).advance(2**64).random_raw(4)
     y_ref, x_ref = pairs_from_normals(m, 0.0, 0.0, *normals_from_words(1, raw))
     assert np.array_equal(y, y_ref) and np.array_equal(x, x_ref)
     with pytest.raises(ValueError, match="256-bit counter"):
-        sample_subgroup(m, 0.0, 0.0, key, 2**256)
+        sample_subgroup(m, 0.0, 0.0, 1, 2, 2**256)
 
 
 # ------------------------------------------------------------- shifted_means
@@ -282,40 +297,37 @@ def test_masking_shift_cancels_in_the_statistic(rho, sigma_y, sigma_x, delta_y, 
 
 def test_replay_is_bit_identical():
     m = standard(0.6, n=5)
-    key = StreamKey(123, 45)
-    ya, xa = sample_subgroup(m, 1.0, -1.0, key, 9)
-    yb, xb = sample_subgroup(m, 1.0, -1.0, key, 9)
+    ya, xa = sample_subgroup(m, 1.0, -1.0, 123, 45, 9)
+    yb, xb = sample_subgroup(m, 1.0, -1.0, 123, 45, 9)
     assert np.array_equal(ya, yb) and np.array_equal(xa, xb)
 
 
 def test_distinct_keys_and_indices_differ():
     m = standard(0.6)
-    base, _ = sample_subgroup(m, 0, 0, StreamKey(1, 0), 0)
-    assert not np.array_equal(base, sample_subgroup(m, 0, 0, StreamKey(1, 1), 0)[0])
-    assert not np.array_equal(base, sample_subgroup(m, 0, 0, StreamKey(2, 0), 0)[0])
-    assert not np.array_equal(base, sample_subgroup(m, 0, 0, StreamKey(1, 0), 1)[0])
+    base, _ = sample_subgroup(m, 0, 0, 1, 0, 0)
+    assert not np.array_equal(base, sample_subgroup(m, 0, 0, 1, 1, 0)[0])
+    assert not np.array_equal(base, sample_subgroup(m, 0, 0, 2, 0, 0)[0])
+    assert not np.array_equal(base, sample_subgroup(m, 0, 0, 1, 0, 1)[0])
 
 
 @pytest.mark.parametrize("index", [-1, 2.5, True])
 def test_subgroup_index_must_be_a_nonnegative_int(index):
     # 2.5 and True would otherwise alias subgroups 2 and 1.
     with pytest.raises(ValueError, match="start_index must be an integer"):
-        sample_subgroup(standard(0.6), 0, 0, StreamKey(1, 0), index)
+        sample_subgroup(standard(0.6), 0, 0, 1, 0, index)
 
 
 def test_x_stream_does_not_depend_on_rho():
     # Conditional construction draws X first: its words are rho-independent.
-    key = StreamKey(7, 3)
-    _, x0 = sample_subgroup(standard(0.0, 4), 0, 0, key, 2)
-    _, x9 = sample_subgroup(standard(0.9, 4), 0, 0, key, 2)
+    _, x0 = sample_subgroup(standard(0.0, 4), 0, 0, 7, 3, 2)
+    _, x9 = sample_subgroup(standard(0.9, 4), 0, 0, 7, 3, 2)
     assert np.array_equal(x0, x9)
 
 
 def test_subgroup_offsets_match_sequential_stream():
     # advance() into the middle of a stream lands on the same slots.
     m = standard(0.3, n=3)
-    key = StreamKey(99, 7)
-    stream = SubgroupStream(m.n, key.master_seed, [key.replication_index])
+    stream = SubgroupStream(m.n, 99, [7])
     zx, ze = normals_from_words(m.n, stream.take_words(40)[0])
     for t in (0, 1, 17, 39):
         zxt, zet = normals_from_words(m.n, stream.take_words(1, t)[0])
