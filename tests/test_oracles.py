@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -224,6 +229,108 @@ def full_chain_arl(lam, L, s, n_states):
     Q = ndtr(hi - s) - ndtr(lo - s)
     a = np.linalg.solve(np.eye(n_states) - Q, np.ones(n_states))
     return float(a[n_states // 2])
+
+
+def allocating_chain_arl(lam, L, s, n_states):
+    """The half-size in-control chain as solved with fresh arrays per call.
+
+    The oracle builds the same matrix in place, in buffers it reuses, and
+    must return the same float.
+    """
+    center = n_states // 2
+    in_control = s == 0.0
+    rows = center + 1 if in_control else n_states
+    h = L * math.sqrt(lam / (2.0 - lam))
+    width = 2.0 * h / n_states
+    centers = -h + (np.arange(rows) + 0.5) * width
+    edges = -h + np.arange(n_states + 1) * width
+    z = (edges[None, :] - (1.0 - lam) * centers[:, None]) / lam
+    z -= s
+    A = np.diff(ndtr(z, out=z), axis=1)
+    if in_control:
+        A[:, :center] += A[:, :center:-1]
+        A = A[:, :rows]
+    np.negative(A, out=A)
+    diagonal = np.arange(rows)
+    A[diagonal, diagonal] += 1.0
+    return float(np.linalg.solve(A, np.ones(rows))[center])
+
+
+chains = st.tuples(
+    lambdas, limits,
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf]) | shifts,
+    odd_state_counts,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases=st.lists(chains, min_size=2, max_size=6))
+def test_markov_in_place_build_is_bit_identical_to_allocating_reference(cases):
+    # In-control and shifted chains of different sizes in turn, forwards
+    # and back, so that a stale buffer shape or a leftover shift would show.
+    want = [allocating_chain_arl(*case) for case in cases]
+    assert [ewma_arl_markov(*case) for case in cases] == want
+    assert [ewma_arl_markov(*case) for case in reversed(cases)] == want[::-1]
+
+
+@pytest.mark.parametrize("s, n_states", [(0.0, 401), (0.7, 201)])
+def test_markov_rewrites_every_workspace_element(s, n_states):
+    first = ewma_arl_markov(0.1, 2.454, s, n_states)
+    for name in ("z", "Q", "A"):
+        getattr(oracles._workspace, name).fill(np.nan)
+    assert ewma_arl_markov(0.1, 2.454, s, n_states) == first
+
+
+def test_markov_workspaces_are_per_thread():
+    # Both calibrations solve 201 x 401 in-control chains, and the shifted
+    # 101-state solve reshapes the workspace each round: a buffer shared
+    # between the threads would be overwritten mid-solve.
+    def round_(lam):
+        return calibrate_limit(ChartKind.EWMA, lam, 370.0), ewma_arl_markov(
+            lam, 2.454, 1.0, 101
+        )
+
+    lams = (0.05, 0.5)
+    serial = {lam: round_(lam) for lam in lams}
+    results = {lam: [] for lam in lams}
+
+    def rounds(lam):
+        for _ in range(10):
+            results[lam].append(round_(lam))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=rounds, args=(lam,)) for lam in lams]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == {lam: [serial[lam]] * 10 for lam in lams}
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts minor page faults")
+def test_repeated_calibration_faults_in_no_fresh_pages():
+    # Fresh arrays per solve were handed back to the OS by glibc and faulted
+    # in again: about 3,600 minor faults per calibration. A fresh interpreter,
+    # because glibc raises its trim threshold after large frees, so earlier
+    # tests in this process would hide the churn.
+    code = (
+        "import resource\n"
+        "from aibmon import ChartKind, calibrate_limit\n"
+        "calibrate_limit(ChartKind.EWMA, 0.05, 370.0)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "calibrate_limit(ChartKind.EWMA, 0.05, 370.0)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(oracles.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) < 500
 
 
 @settings(max_examples=40, deadline=None)
