@@ -17,7 +17,8 @@ With more than one worker, the shares go to a pool of forked worker
 processes that lives as long as the interpreter: the first study that
 plans more than one worker forks it, a study that plans more grows it, and
 every later study reuses it over pipes, so a process pays the fork, the
-first-run page faults and the reaping once, not once per study.
+first-run page faults and the reaping once, not once per study. Each
+message is one pickle, which marks its own end, read back as a stream.
 The engine is bound by single-threaded C calls (Philox words, the ``ndtri``
 decode) that hold the GIL, so threads would only queue behind each other.
 
@@ -46,7 +47,7 @@ import threading
 import traceback
 from dataclasses import dataclass
 from signal import SIGKILL
-from typing import NoReturn
+from typing import BinaryIO, NoReturn
 
 import numpy as np
 
@@ -292,12 +293,12 @@ def _run_forked(config: SimulationConfig, shares: list[np.ndarray]) -> np.ndarra
             for (pid, request_fd, _), share in zip(workers, shares):
                 _send(request_fd, (config, share))
             results = []
-            for pid, _, reply_fd in workers:
-                run_lengths, failure = _recv(reply_fd)
+            for pid, _, replies in workers:
+                run_lengths, failure = _recv(replies)
                 if failure:
                     break
                 results.append(run_lengths)
-        except (BrokenPipeError, EOFError):
+        except (BrokenPipeError, EOFError, pickle.UnpicklingError):
             status = _kill_workers()[pid]
             raise RuntimeError(f"worker process {pid} died, wait status {status}") from None
         except BaseException:
@@ -310,13 +311,13 @@ def _run_forked(config: SimulationConfig, shares: list[np.ndarray]) -> np.ndarra
     return np.concatenate(results)
 
 
-# The pool: (pid, request write fd, reply read fd) per worker. Guarded by
+# The pool: (pid, request write fd, reply reader) per worker. Guarded by
 # _workers_lock; emptied in every forked child by _forget_workers.
-_workers: list[tuple[int, int, int]] = []
+_workers: list[tuple[int, int, BinaryIO]] = []
 _workers_lock = threading.Lock()
 
 
-def _pool(size: int) -> list[tuple[int, int, int]]:
+def _pool(size: int) -> list[tuple[int, int, BinaryIO]]:
     """The first ``size`` workers, forking those missing.
 
     A worker that died while idle (a Ctrl-C reaches the whole process
@@ -336,7 +337,7 @@ def _pool(size: int) -> list[tuple[int, int, int]]:
                 os.close(request_write)
                 os.close(reply_read)
                 _serve(request_read, reply_write)
-            _workers.append((pid, request_write, reply_read))
+            _workers.append((pid, request_write, open(reply_read, "rb")))
         except BaseException:
             os.close(request_write)
             os.close(reply_read)
@@ -356,8 +357,9 @@ def _serve(request_fd: int, reply_fd: int) -> NoReturn:
     a failed reply write and on any exception outside a share.
     """
     try:
+        requests = open(request_fd, "rb")
         while True:
-            config, share = _recv(request_fd)
+            config, share = _recv(requests)
             try:
                 reply = (_run_share(config, share), None)
             except BaseException as exc:
@@ -382,36 +384,26 @@ def _picklable_failure(exc: BaseException) -> tuple[BaseException, str]:
 
 
 def _send(fd: int, obj: object) -> None:
-    """Writes one message: the pickle's 8-byte little-endian length, then the pickle."""
-    data = pickle.dumps(obj)
-    view = memoryview(len(data).to_bytes(8, "little") + data)
+    """Writes ``obj`` as one pickle, unbuffered: a forked child must not
+    inherit unflushed bytes and write them again."""
+    view = memoryview(pickle.dumps(obj))
     while view:
         view = view[os.write(fd, view) :]
 
 
-def _recv(fd: int) -> object:
-    """The object of one ``_send`` message; EOFError if the writer closes first."""
-    size = int.from_bytes(_read_exact(fd, 8), "little")
-    return pickle.loads(_read_exact(fd, size))
+def _recv(reader: BinaryIO) -> object:
+    """The object of one ``_send`` message; EOFError if the writer closes
+    first, UnpicklingError if it closes mid-message. ``reader`` must be
+    buffered: pickle takes an unbuffered pipe's short reads for truncation."""
+    return pickle.load(reader)
 
 
-def _read_exact(fd: int, size: int) -> bytearray:
-    """``size`` bytes from ``fd``; EOFError if the writer closes first."""
-    data = bytearray(size)
-    view = memoryview(data)
-    got = 0
-    while got < size:
-        n = os.readv(fd, [view[got:]])
-        if not n:
-            raise EOFError(f"pipe closed after {got} of {size} bytes")
-        got += n
-    return data
-
-
-def _close(worker: tuple[int, int, int]) -> None:
-    """Closes this process's two pipe ends of ``worker``."""
+def _close(worker: tuple[int, int, BinaryIO]) -> None:
+    """Closes this process's two pipe ends of ``worker``; the reader through
+    its raw file, since in a forked child a parent thread that was reading
+    may hold the buffered reader's lock, and ``close`` would wait forever."""
     os.close(worker[1])
-    os.close(worker[2])
+    worker[2].raw.close()
 
 
 def _kill_workers() -> dict[int, int]:

@@ -250,7 +250,7 @@ def test_run_lengths_independent_of_workers_at_the_floor(reps):
 @pytest.mark.skipif(usable_cpus() < 2, reason="two workers need two usable CPUs")
 def test_messages_larger_than_the_pipe_buffer():
     # Each request and each reply carries 10,000 rows, about 80 KB, more than
-    # Linux's 64 KiB pipe buffer, so _recv assembles them from partial reads.
+    # Linux's 64 KiB pipe buffer, so each is read back from partial reads.
     config = shewhart_config(rho=0.5, delta_x=1.5, reps=20_000, seed=61)
     serial = simulate_run_lengths(config, threads=1)
     with nothing_left_beyond_the_pool():
@@ -335,8 +335,8 @@ def test_workers_exit_at_eof():
                         statuses[pid] = status
                 time.sleep(0.01)
         finally:
-            for pid, _, reply_fd in workers:
-                os.close(reply_fd)
+            for pid, _, replies in workers:
+                replies.close()
                 if pid not in statuses:
                     os.kill(pid, SIGKILL)
                     os.waitpid(pid, 0)
@@ -368,6 +368,8 @@ def test_forked_child_runs_its_own_workers():
     simulate_run_lengths(config, threads=2)
     parent_workers = list(runlength._workers)
     parent_pool = _pool_pids()
+    parent_fds = [fd for _, request_fd, replies in parent_workers
+                  for fd in (request_fd, replies.fileno())]
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -375,9 +377,8 @@ def test_forked_child_runs_its_own_workers():
             os.close(read_fd)
             # The parent's pipe ends, open here, would keep its workers
             # from seeing EOF.
-            inherited = list(runlength._workers) + [
-                fd for _, *fds in parent_workers for fd in fds if _is_open(fd)
-            ]
+            inherited = list(runlength._workers) + [fd for fd in parent_fds if _is_open(fd)]
+            inherited += [r.fileno() for _, _, r in parent_workers if not r.closed]
             rl = simulate_run_lengths(config, threads=2)
             report = (inherited, _pool_pids(), rl.tobytes())
             runlength._shutdown_workers()
@@ -507,7 +508,7 @@ def test_caller_interrupted_while_reading_kills_and_reaps_workers(monkeypatch):
     monkeypatch.setattr(runlength, "_chunk_run_lengths", _first_share_fails_second_hangs)
     busy = []
 
-    def interrupted(fd):
+    def interrupted(reader):
         busy.extend(_pool_pids())
         raise KeyboardInterrupt
 
@@ -533,12 +534,12 @@ def test_worker_killed_mid_share_fails_the_study(monkeypatch):
     recv = runlength._recv
     killed = []
 
-    def kill_then_read(fd):
+    def kill_then_read(reader):
         # Both workers are inside their share, which never ends.
         if not killed:
             killed.append(_pool_pids()[0])
             os.kill(killed[0], SIGKILL)
-        return recv(fd)
+        return recv(reader)
 
     start = time.monotonic()
     with no_child_or_fd_left():
@@ -552,6 +553,74 @@ def test_worker_killed_mid_share_fails_the_study(monkeypatch):
     assert str(exc.value) == f"worker process {killed[0]} died, wait status {int(SIGKILL)}"
     monkeypatch.undo()
     _next_study_reforks(killed)
+
+
+@pytest.mark.skipif(usable_cpus() < 2, reason="two workers need two usable CPUs")
+def test_reply_cut_short_fails_the_study(monkeypatch):
+    caller, write = os.getpid(), os.write
+
+    def write_half_then_exit(fd, data):
+        if os.getpid() == caller:
+            return write(fd, data)
+        write(fd, memoryview(data)[: len(data) // 2])
+        os._exit(3)
+
+    with no_child_or_fd_left():
+        # Forked after the patch, the workers write half of each reply.
+        monkeypatch.setattr(os, "write", write_half_then_exit)
+        with runlength._workers_lock:
+            pool = [pid for pid, _, _ in runlength._pool(2)]
+        with pytest.raises(RuntimeError, match=r"^worker process \d+ died") as exc:
+            simulate_run_lengths(shewhart_config(reps=2000), threads=2)
+    assert str(exc.value) == f"worker process {pool[0]} died, wait status {3 << 8}"
+    monkeypatch.undo()
+    _next_study_reforks(pool)
+
+
+@pytest.mark.skipif(usable_cpus() < 2, reason="two workers need two usable CPUs")
+def test_fork_while_another_thread_reads_a_reply(monkeypatch):
+    # That thread holds its reply reader's lock while it waits, and the
+    # forked child, which has no such thread, must still drop the pool.
+    monkeypatch.setattr(runlength, "_chunk_run_lengths", _share_hangs)
+    recv, reading, failures = runlength._recv, threading.Event(), []
+
+    def signal_then_read(reader):
+        reading.set()
+        return recv(reader)
+
+    def study():
+        try:
+            simulate_run_lengths(shewhart_config(reps=2000), threads=2)
+        except RuntimeError as exc:
+            failures.append(str(exc))
+
+    with no_child_or_fd_left():
+        # The workers read their requests with _recv too: fork them first.
+        with runlength._workers_lock:
+            pool = [pid for pid, _, _ in runlength._pool(2)]
+        monkeypatch.setattr(runlength, "_recv", signal_then_read)
+        thread = threading.Thread(target=study)
+        thread.start()
+        assert reading.wait(timeout=60)
+        time.sleep(0.2)  # into pickle.load, which blocks: the shares never end
+        pid = os.fork()
+        if pid == 0:
+            os._exit(0)
+        try:
+            deadline = time.monotonic() + 30
+            while not os.waitpid(pid, os.WNOHANG)[0]:
+                if time.monotonic() > deadline:
+                    os.kill(pid, SIGKILL)
+                    os.waitpid(pid, 0)
+                    pytest.fail("the forked child hung while dropping the pool")
+                time.sleep(0.01)
+        finally:
+            # The study then fails, and kills and reaps its pool.
+            for worker in pool:
+                os.kill(worker, SIGKILL)
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert len(failures) == 1 and failures[0].startswith(f"worker process {pool[0]} died")
 
 
 @pytest.mark.parametrize(
